@@ -31,9 +31,6 @@ from .metrics import (
     roc_curve,
 )
 from .models import (
-    ConvLayer,
-    InceptionLayer,
-    _inception_conv_specs,
     build_layers,
     build_model,
     config_from_json,
@@ -387,20 +384,11 @@ def cmd_info(args) -> int:
         print(f"classification heads: {census['dense']} "
               "(no auxiliary heads)")
     print("conv layer,mode,multiplications,additions")
-    prev_shape = walk[0][1]
-    for l, (name, shape) in zip(layers, walk[1:]):
-        if isinstance(l, ConvLayer):
+    for l, (_, shape) in zip(layers, walk):
+        for name, spec, extents in l.convs(shape):
             for mode in ("paper-convention", "standard"):
-                oc = op_count(l.spec, prev_shape[1:], mode=mode)
+                oc = op_count(spec, extents, mode=mode)
                 print(f"{name},{mode},{oc.multiplications},{oc.additions}")
-        elif isinstance(l, InceptionLayer):
-            spatial = prev_shape[1:]
-            for tag, cs in _inception_conv_specs(l).items():
-                for mode in ("paper-convention", "standard"):
-                    oc = op_count(cs, spatial, mode=mode)
-                    print(f"{name}.{tag},{mode},{oc.multiplications},"
-                          f"{oc.additions}")
-        prev_shape = shape
     return 0
 
 

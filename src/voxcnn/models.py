@@ -6,13 +6,20 @@ from inception modules with a single classification head.  A model is an
 ordered layer list plus a flat named parameter store; execution walks the
 list forward (recording per-layer caches) and backward (producing a gradient
 for every parameter and for the input).
+
+Each layer class owns its kind: `out_shape`, `param_shapes`, `forward(x,
+params, run)`, `backward(cache, g, grads)` and `convs(shape)`; shape walks,
+parameter tables, execution and op counts are loops over those methods.  An
+inception module is a composite of four branches of plain child layers named
+"<module>.<tag>".  Layers call kernels by their module-global name at call
+time, so a wrapper set on e.g. `voxcnn.models.conv3d` sees every call.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, Union
 
 import numpy as np
@@ -44,49 +51,176 @@ MODEL_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# layer specs
+# layers
 # ---------------------------------------------------------------------------
 
 
+@dataclass
+class Run:
+    """Per-call state a layer forward may read: the forward mode, the dropout
+    generator (train mode only) and an optional override of dropout rates."""
+
+    mode: str
+    gen: np.random.Generator | None
+    dropout_rate: float | None
+
+
 @dataclass(frozen=True)
-class ConvLayer:
-    kind: ClassVar[str] = "conv3d"
+class Layer:
+    """Base of every layer kind; defaults suit a parameter-free identity."""
+
+    kind: ClassVar[str]
     name: str
+
+    def out_shape(self, shape: tuple) -> tuple:
+        return shape
+
+    def param_shapes(self) -> dict:
+        return {}
+
+    def forward(self, x, params, run: Run):
+        """Return (output, cache) for one input."""
+        raise NotImplementedError
+
+    def backward(self, cache, g, grads: dict):
+        """Return the input gradient; store parameter gradients in grads."""
+        return g
+
+    def convs(self, shape: tuple) -> list:
+        """(name, ConvSpec, input extents) for each conv this layer runs."""
+        return []
+
+
+@dataclass(frozen=True)
+class ConvLayer(Layer):
+    kind: ClassVar[str] = "conv3d"
     spec: ConvSpec
 
+    def out_shape(self, shape):
+        s = self.spec
+        if len(shape) != 4:
+            raise ValidationError(f"{self.name}: expects a volume input")
+        if shape[0] != s.in_channels:
+            raise ValidationError(
+                f"{self.name}: expects {s.in_channels} channels, gets {shape[0]}"
+            )
+        return (s.out_channels,) + out_extents(
+            shape[1:], s.kernel, s.stride, s.padding, what=self.name)
+
+    def param_shapes(self):
+        s = self.spec
+        return {f"{self.name}.w": (s.out_channels, s.in_channels) + s.kernel,
+                f"{self.name}.b": (s.out_channels,)}
+
+    def forward(self, x, params, run):
+        return conv3d(x, params[f"{self.name}.w"], params[f"{self.name}.b"],
+                      self.spec)
+
+    def backward(self, cache, g, grads):
+        g, grads[f"{self.name}.w"], grads[f"{self.name}.b"] = conv3d_backward(
+            cache, g)
+        return g
+
+    def convs(self, shape):
+        return [(self.name, self.spec, shape[1:])]
+
 
 @dataclass(frozen=True)
-class PoolLayer:
+class PoolLayer(Layer):
     kind: ClassVar[str] = "maxpool3d"
-    name: str
     spec: PoolSpec
 
+    def out_shape(self, shape):
+        s = self.spec
+        if len(shape) != 4:
+            raise ValidationError(f"{self.name}: expects a volume input")
+        return (shape[0],) + out_extents(
+            shape[1:], s.kernel, s.stride, s.padding, what=self.name)
+
+    def forward(self, x, params, run):
+        out, _, cache = maxpool3d(x, self.spec)
+        return out, cache
+
+    def backward(self, cache, g, grads):
+        return maxpool3d_backward(cache, g)
+
 
 @dataclass(frozen=True)
-class ReluLayer:
+class ReluLayer(Layer):
     kind: ClassVar[str] = "relu"
-    name: str
+
+    def forward(self, x, params, run):
+        return relu(x)
+
+    def backward(self, cache, g, grads):
+        return relu_backward(cache, g)
 
 
 @dataclass(frozen=True)
-class DropoutLayer:
+class DropoutLayer(Layer):
     kind: ClassVar[str] = "dropout"
-    name: str
     rate: float
 
+    def forward(self, x, params, run):
+        rate = self.rate if run.dropout_rate is None else run.dropout_rate
+        return dropout(x, rate, run.mode, run.gen)
+
+    def backward(self, cache, g, grads):
+        return dropout_backward(cache, g)
+
 
 @dataclass(frozen=True)
-class FlattenLayer:
+class FlattenLayer(Layer):
     kind: ClassVar[str] = "flatten"
-    name: str
+
+    def out_shape(self, shape):
+        if len(shape) != 4:
+            raise ValidationError(f"{self.name}: expects a volume input")
+        return (int(np.prod(shape)),)
+
+    def forward(self, x, params, run):
+        return x.reshape(-1), x.shape
+
+    def backward(self, cache, g, grads):
+        return g.reshape(cache)
 
 
 @dataclass(frozen=True)
-class DenseLayer:
+class DenseLayer(Layer):
     kind: ClassVar[str] = "dense"
-    name: str
     in_nodes: int
     out_nodes: int
+
+    def out_shape(self, shape):
+        if shape != (self.in_nodes,):
+            raise ValidationError(
+                f"{self.name}: expects ({self.in_nodes},), gets {shape}"
+            )
+        return (self.out_nodes,)
+
+    def param_shapes(self):
+        return {f"{self.name}.w": (self.out_nodes, self.in_nodes),
+                f"{self.name}.b": (self.out_nodes,)}
+
+    def forward(self, x, params, run):
+        return dense(x, params[f"{self.name}.w"], params[f"{self.name}.b"])
+
+    def backward(self, cache, g, grads):
+        g, grads[f"{self.name}.w"], grads[f"{self.name}.b"] = dense_backward(
+            cache, g)
+        return g
+
+
+@dataclass(frozen=True)
+class SoftmaxLayer(Layer):
+    """Probabilities from logits.  The cache is the logits; backward is the
+    identity because gradients enter the net at the logits."""
+
+    kind: ClassVar[str] = "softmax"
+
+    def forward(self, x, params, run):
+        probs, _, _ = softmax_xent(x)
+        return probs, x
 
 
 @dataclass(frozen=True)
@@ -120,50 +254,79 @@ class InceptionSpec:
                 self.branch3_reduce, self.branch3, self.branch4_proj)
 
 
+def _forward_walk(layers, x, params, run: Run):
+    entries = []
+    for l in layers:
+        x, c = l.forward(x, params, run)
+        entries.append(c)
+    return x, entries
+
+
+def _backward_walk(layers, entries, g, grads: dict):
+    for l, c in zip(reversed(layers), reversed(entries)):
+        g = l.backward(c, g, grads)
+    return g
+
+
 @dataclass(frozen=True)
-class InceptionLayer:
+class InceptionLayer(Layer):
+    """An inception module: four branches of plain layers, concatenated.
+
+    Children are named "<module>.<tag>" for a conv (parameters
+    "<module>.<tag>.w" and ".b"), "<module>.<tag>.relu" and "<module>.pool".
+    """
+
     kind: ClassVar[str] = "concat-group"
-    name: str
     spec: InceptionSpec
     in_channels: int
+    branches: tuple = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        n, cin, s = self.name, self.in_channels, self.spec
 
-@dataclass(frozen=True)
-class SoftmaxLayer:
-    kind: ClassVar[str] = "softmax"
-    name: str
+        def conv_relu(tag, spec):
+            return (ConvLayer(f"{n}.{tag}", spec), ReluLayer(f"{n}.{tag}.relu"))
 
+        object.__setattr__(self, "branches", (
+            conv_relu("b1", ConvSpec(cin, s.branch1, 1)),
+            conv_relu("b2r", ConvSpec(cin, s.branch2_reduce, 1))
+            + conv_relu("b2", ConvSpec(s.branch2_reduce, s.branch2, 3, 1, 1)),
+            conv_relu("b3r", ConvSpec(cin, s.branch3_reduce, 1))
+            + conv_relu("b3", ConvSpec(s.branch3_reduce, s.branch3, 5, 1, 2)),
+            (PoolLayer(f"{n}.pool", PoolSpec(3, 1, 1)),)
+            + conv_relu("b4p", ConvSpec(cin, s.branch4_proj, 1)),
+        ))
 
-LayerSpec = Union[ConvLayer, PoolLayer, ReluLayer, DropoutLayer, FlattenLayer,
-                  DenseLayer, InceptionLayer, SoftmaxLayer]
+    def out_shape(self, shape):
+        if len(shape) != 4 or shape[0] != self.in_channels:
+            raise ValidationError(
+                f"{self.name}: expects ({self.in_channels}, D, H, W), gets {shape}"
+            )
+        return (self.spec.out_channels,) + shape[1:]
 
-_INCEPTION_POOL = PoolSpec((3, 3, 3), (1, 1, 1), (1, 1, 1))
+    def param_shapes(self):
+        return parameter_shapes(l for branch in self.branches for l in branch)
 
-# conv tags inside an inception module, in parameter/execution order
-_BRANCH_TAGS = ("b1", "b2r", "b2", "b3r", "b3", "b4p")
+    def forward(self, x, params, run):
+        walks = [_forward_walk(branch, x, params, run) for branch in self.branches]
+        out, widths = concat_channels([out for out, _ in walks])
+        return out, ([entries for _, entries in walks], widths)
 
+    def backward(self, cache, g, grads):
+        caches, widths = cache
+        gs = [_backward_walk(branch, entries, gb, grads) for branch, entries, gb
+              in zip(self.branches, caches, concat_channels_backward(widths, g))]
+        return sum(gs[1:], gs[0])
 
-def _inception_conv_specs(layer: InceptionLayer) -> dict[str, ConvSpec]:
-    cin, s = layer.in_channels, layer.spec
-    return {
-        "b1": ConvSpec(cin, s.branch1, 1),
-        "b2r": ConvSpec(cin, s.branch2_reduce, 1),
-        "b2": ConvSpec(s.branch2_reduce, s.branch2, 3, 1, 1),
-        "b3r": ConvSpec(cin, s.branch3_reduce, 1),
-        "b3": ConvSpec(s.branch3_reduce, s.branch3, 5, 1, 2),
-        "b4p": ConvSpec(cin, s.branch4_proj, 1),
-    }
+    def convs(self, shape):
+        return [c for branch in self.branches
+                for l, (_, s) in zip(branch, infer_shapes(branch, shape))
+                for c in l.convs(s)]
 
 
 # ---------------------------------------------------------------------------
 # architecture configs
 # ---------------------------------------------------------------------------
-
-
-def _triple(v):
-    if isinstance(v, int):
-        return (v, v, v)
-    return tuple(int(x) for x in v)
 
 
 def _tup(v):
@@ -259,8 +422,9 @@ class GoogleNetConfig:
         _validate_common(self)
         if len(self.stem_widths) != 3:
             raise ValidationError("googlenet3d needs exactly 3 stem widths")
-        if len(stages) != 3 or any(len(s) < 1 for s in stages):
-            raise ValidationError("googlenet3d needs 3 non-empty inception stages")
+        if len(stages) != 3 or any(not 1 <= len(s) <= 10 for s in stages):
+            raise ValidationError(
+                "googlenet3d needs 3 inception stages of 1 to 10 modules")
 
 
 ArchConfig = Union[AlexNetConfig, VggConfig, GoogleNetConfig]
@@ -359,9 +523,8 @@ def _validate_layers(layers) -> None:
         raise ValidationError(f"duplicate layer name {dup!r}")
     seen_flatten = False
     for l in layers:
-        if isinstance(l, FlattenLayer):
-            seen_flatten = True
-        if isinstance(l, DenseLayer) and not seen_flatten:
+        seen_flatten = seen_flatten or l.kind == "flatten"
+        if l.kind == "dense" and not seen_flatten:
             raise ValidationError(f"dense layer {l.name!r} appears before flatten")
 
 
@@ -374,61 +537,14 @@ def infer_shapes(layers, input_shape) -> list:
     shape = tuple(int(x) for x in input_shape)
     walk = [("input", shape)]
     for l in layers:
-        if isinstance(l, ConvLayer):
-            if len(shape) != 4:
-                raise ValidationError(f"{l.name}: expects a volume input")
-            if shape[0] != l.spec.in_channels:
-                raise ValidationError(
-                    f"{l.name}: expects {l.spec.in_channels} channels, gets {shape[0]}"
-                )
-            shape = (l.spec.out_channels,) + out_extents(
-                shape[1:], l.spec.kernel, l.spec.stride, l.spec.padding, what=l.name)
-        elif isinstance(l, PoolLayer):
-            if len(shape) != 4:
-                raise ValidationError(f"{l.name}: expects a volume input")
-            shape = (shape[0],) + out_extents(
-                shape[1:], l.spec.kernel, l.spec.stride, l.spec.padding, what=l.name)
-        elif isinstance(l, InceptionLayer):
-            if len(shape) != 4 or shape[0] != l.in_channels:
-                raise ValidationError(
-                    f"{l.name}: expects ({l.in_channels}, D, H, W), gets {shape}"
-                )
-            shape = (l.spec.out_channels,) + shape[1:]
-        elif isinstance(l, FlattenLayer):
-            if len(shape) != 4:
-                raise ValidationError(f"{l.name}: expects a volume input")
-            shape = (int(np.prod(shape)),)
-        elif isinstance(l, DenseLayer):
-            if shape != (l.in_nodes,):
-                raise ValidationError(
-                    f"{l.name}: expects ({l.in_nodes},), gets {shape}"
-                )
-            shape = (l.out_nodes,)
-        elif isinstance(l, (ReluLayer, DropoutLayer, SoftmaxLayer)):
-            pass
-        else:
-            raise ValidationError(f"unknown layer kind {type(l).__name__}")
+        shape = l.out_shape(shape)
         walk.append((l.name, shape))
     return walk
 
 
 def parameter_shapes(layers) -> dict:
     """Name -> shape for every learnable tensor, in layer order."""
-    shapes: dict[str, tuple] = {}
-    for l in layers:
-        if isinstance(l, ConvLayer):
-            s = l.spec
-            shapes[f"{l.name}.w"] = (s.out_channels, s.in_channels) + s.kernel
-            shapes[f"{l.name}.b"] = (s.out_channels,)
-        elif isinstance(l, DenseLayer):
-            shapes[f"{l.name}.w"] = (l.out_nodes, l.in_nodes)
-            shapes[f"{l.name}.b"] = (l.out_nodes,)
-        elif isinstance(l, InceptionLayer):
-            for tag, cs in _inception_conv_specs(l).items():
-                shapes[f"{l.name}.{tag}.w"] = (
-                    (cs.out_channels, cs.in_channels) + cs.kernel)
-                shapes[f"{l.name}.{tag}.b"] = (cs.out_channels,)
-    return shapes
+    return {k: v for l in layers for k, v in l.param_shapes().items()}
 
 
 def _init_params(shapes: dict, seed: int) -> dict:
@@ -449,11 +565,27 @@ def _init_params(shapes: dict, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _dense_head(layers, config) -> list:
+    """fc1-relu-dropout-fc2-relu-dropout-fc3-softmax on the flattened stack."""
+    feat = infer_shapes(layers, config.input_shape)[-1][1][0]
+    dw = config.dense_widths
+    return layers + [
+        DenseLayer("fc1", feat, dw[0]),
+        ReluLayer("relu_fc1"),
+        DropoutLayer("drop1", config.dropout_rate),
+        DenseLayer("fc2", dw[0], dw[1]),
+        ReluLayer("relu_fc2"),
+        DropoutLayer("drop2", config.dropout_rate),
+        DenseLayer("fc3", dw[1], config.class_count),
+        SoftmaxLayer("softmax"),
+    ]
+
+
 def build_alexnet3d_layers(config: AlexNetConfig) -> tuple:
-    cw, dw = config.conv_widths, config.dense_widths
+    cw = config.conv_widths
     k2 = config.mid_kernel
     pool = PoolSpec(3, 2, config.pool_padding)
-    layers = [
+    return tuple(_dense_head([
         ConvLayer("conv1", ConvSpec(3, cw[0], config.stem_kernel,
                                     config.stem_stride, config.stem_padding)),
         ReluLayer("relu1"),
@@ -469,19 +601,7 @@ def build_alexnet3d_layers(config: AlexNetConfig) -> tuple:
         ReluLayer("relu5"),
         PoolLayer("pool5", pool),
         FlattenLayer("flatten"),
-    ]
-    feat = infer_shapes(layers, config.input_shape)[-1][1][0]
-    layers += [
-        DenseLayer("fc1", feat, dw[0]),
-        ReluLayer("relu_fc1"),
-        DropoutLayer("drop1", config.dropout_rate),
-        DenseLayer("fc2", dw[0], dw[1]),
-        ReluLayer("relu_fc2"),
-        DropoutLayer("drop2", config.dropout_rate),
-        DenseLayer("fc3", dw[1], config.class_count),
-        SoftmaxLayer("softmax"),
-    ]
-    return tuple(layers)
+    ], config))
 
 
 def build_vgg16_3d_layers(config: VggConfig) -> tuple:
@@ -495,19 +615,7 @@ def build_vgg16_3d_layers(config: VggConfig) -> tuple:
             cin = width
         layers.append(PoolLayer(f"pool{b}", PoolSpec(3, 2, config.pool_padding)))
     layers.append(FlattenLayer("flatten"))
-    feat = infer_shapes(layers, config.input_shape)[-1][1][0]
-    dw = config.dense_widths
-    layers += [
-        DenseLayer("fc1", feat, dw[0]),
-        ReluLayer("relu_fc1"),
-        DropoutLayer("drop1", config.dropout_rate),
-        DenseLayer("fc2", dw[0], dw[1]),
-        ReluLayer("relu_fc2"),
-        DropoutLayer("drop2", config.dropout_rate),
-        DenseLayer("fc3", dw[1], config.class_count),
-        SoftmaxLayer("softmax"),
-    ]
-    return tuple(layers)
+    return tuple(_dense_head(layers, config))
 
 
 def build_googlenet3d_layers(config: GoogleNetConfig) -> tuple:
@@ -567,18 +675,6 @@ def build_model(config: ArchConfig, seed: int = 0) -> Model:
                  class_count=config.class_count)
 
 
-def build_alexnet3d(config: AlexNetConfig, seed: int = 0) -> Model:
-    return build_model(config, seed)
-
-
-def build_vgg16_3d(config: VggConfig, seed: int = 0) -> Model:
-    return build_model(config, seed)
-
-
-def build_googlenet3d(config: GoogleNetConfig, seed: int = 0) -> Model:
-    return build_model(config, seed)
-
-
 def count_parameters(model: Model) -> int:
     return sum(p.size for p in model.params.values())
 
@@ -589,11 +685,9 @@ def layer_census(model) -> dict:
     Accepts a built model or a bare layer sequence.
     """
     layers = model.layers if isinstance(model, Model) else model
-    return {
-        "conv": sum(isinstance(l, ConvLayer) for l in layers),
-        "dense": sum(isinstance(l, DenseLayer) for l in layers),
-        "inception": sum(isinstance(l, InceptionLayer) for l in layers),
-    }
+    kinds = [l.kind for l in layers]
+    return {"conv": kinds.count("conv3d"), "dense": kinds.count("dense"),
+            "inception": kinds.count("concat-group")}
 
 
 # ---------------------------------------------------------------------------
@@ -609,47 +703,6 @@ class ForwardCache:
     probs: np.ndarray
     mode: str
     params_ref: dict | None = None
-
-
-def _inception_forward(layer, x, params):
-    sp = _inception_conv_specs(layer)
-    n = layer.name
-    cache = {}
-
-    def conv_relu(tag, inp):
-        out, cc = conv3d(inp, params[f"{n}.{tag}.w"], params[f"{n}.{tag}.b"], sp[tag])
-        act, rm = relu(out)
-        cache[tag] = (cc, rm)
-        return act
-
-    r1 = conv_relu("b1", x)
-    r2 = conv_relu("b2", conv_relu("b2r", x))
-    r3 = conv_relu("b3", conv_relu("b3r", x))
-    pooled, _, pc = maxpool3d(x, _INCEPTION_POOL)
-    cache["pool"] = pc
-    r4 = conv_relu("b4p", pooled)
-    out, widths = concat_channels([r1, r2, r3, r4])
-    cache["widths"] = widths
-    return out, cache
-
-
-def _inception_backward(layer, cache, grad, grads):
-    n = layer.name
-    g1, g2, g3, g4 = concat_channels_backward(cache["widths"], grad)
-
-    def conv_relu_back(tag, g):
-        cc, rm = cache[tag]
-        g = relu_backward(rm, g)
-        gx, gw, gb = conv3d_backward(cc, g)
-        grads[f"{n}.{tag}.w"] = gw
-        grads[f"{n}.{tag}.b"] = gb
-        return gx
-
-    gx = conv_relu_back("b1", g1)
-    gx = gx + conv_relu_back("b2r", conv_relu_back("b2", g2))
-    gx = gx + conv_relu_back("b3r", conv_relu_back("b3", g3))
-    gx = gx + maxpool3d_backward(cache["pool"], conv_relu_back("b4p", g4))
-    return gx
 
 
 def forward(model: Model, x, mode: str = "eval", rng=None,
@@ -668,43 +721,22 @@ def forward(model: Model, x, mode: str = "eval", rng=None,
         raise ValidationError(
             f"input shape {x.shape} does not match model input {model.input_shape}"
         )
-    gen = np.random.default_rng(rng) if mode == "train" else None
+    run = Run(mode, np.random.default_rng(rng) if mode == "train" else None,
+              dropout_rate)
     entries = []
     cur = x
-    logits = None
     for l in model.layers:
         try:
-            if isinstance(l, ConvLayer):
-                cur, c = conv3d(cur, model.params[f"{l.name}.w"],
-                                model.params[f"{l.name}.b"], l.spec)
-            elif isinstance(l, PoolLayer):
-                cur, _, c = maxpool3d(cur, l.spec)
-            elif isinstance(l, ReluLayer):
-                cur, c = relu(cur)
-            elif isinstance(l, DropoutLayer):
-                rate = l.rate if dropout_rate is None else dropout_rate
-                cur, c = dropout(cur, rate, mode, gen)
-            elif isinstance(l, FlattenLayer):
-                c = cur.shape
-                cur = cur.reshape(-1)
-            elif isinstance(l, DenseLayer):
-                cur, c = dense(cur, model.params[f"{l.name}.w"],
-                               model.params[f"{l.name}.b"])
-            elif isinstance(l, InceptionLayer):
-                cur, c = _inception_forward(l, cur, model.params)
-            elif isinstance(l, SoftmaxLayer):
-                logits = cur
-                cur, _, _ = softmax_xent(cur)
-                c = logits
-            else:
-                raise ValidationError(f"unknown layer kind {type(l).__name__}")
+            cur, c = l.forward(cur, model.params, run)
         except VoxcnnError as e:
             raise type(e)(f"layer {l.name!r}: {e}") from e
         if not np.isfinite(cur).all():
             raise NumericError(f"layer {l.name!r}: non-finite activations")
         entries.append(c)
-    if logits is None:
+    softmax = [c for l, c in zip(model.layers, entries) if l.kind == "softmax"]
+    if not softmax:
         raise ValidationError("model has no softmax layer")
+    logits = softmax[-1]
     cache = ForwardCache(
         layer_names=tuple(l.name for l in model.layers),
         entries=entries, logits=logits, probs=cur, mode=mode,
@@ -734,28 +766,7 @@ def backpropagate(model: Model, cache: ForwardCache, grad_logits):
             f"grad_logits shape {grad_logits.shape} != {cache.logits.shape}"
         )
     grads: dict[str, np.ndarray] = {}
-    g = grad_logits
-    for l, c in zip(reversed(model.layers), reversed(cache.entries)):
-        if isinstance(l, SoftmaxLayer):
-            continue  # upstream gradient is already at the logits
-        elif isinstance(l, DenseLayer):
-            g, gw, gb = dense_backward(c, g)
-            grads[f"{l.name}.w"] = gw
-            grads[f"{l.name}.b"] = gb
-        elif isinstance(l, FlattenLayer):
-            g = g.reshape(c)
-        elif isinstance(l, DropoutLayer):
-            g = dropout_backward(c, g)
-        elif isinstance(l, ReluLayer):
-            g = relu_backward(c, g)
-        elif isinstance(l, PoolLayer):
-            g = maxpool3d_backward(c, g)
-        elif isinstance(l, ConvLayer):
-            g, gw, gb = conv3d_backward(c, g)
-            grads[f"{l.name}.w"] = gw
-            grads[f"{l.name}.b"] = gb
-        elif isinstance(l, InceptionLayer):
-            g = _inception_backward(l, c, g, grads)
+    g = _backward_walk(model.layers, cache.entries, grad_logits, grads)
     return grads, g
 
 
@@ -817,6 +828,12 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"model file text is not UTF-8: {e}") from None
+
 
 def load_model(data: bytes) -> Model:
     r = _Reader(data)
@@ -826,7 +843,7 @@ def load_model(data: bytes) -> Model:
     if version != MODEL_FORMAT_VERSION:
         raise ValidationError(f"unsupported model format version {version}")
     (cfg_len,) = r.unpack("<I")
-    config = config_from_json(r.take(cfg_len).decode())
+    config = config_from_json(r.text(cfg_len))
     layers = build_layers(config)
     expected = parameter_shapes(layers)
     (count,) = r.unpack("<I")
@@ -837,7 +854,7 @@ def load_model(data: bytes) -> Model:
     directory = []
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode()
+        name = r.text(name_len)
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         if name not in expected:

@@ -22,6 +22,7 @@ from .kernels import softmax_xent
 from .metrics import classwise_metrics, confusion_matrix
 from .models import Model, build_model, forward, model_backward
 from .seeding import derive_seed
+from .volumes import parse_key_values
 
 
 @dataclass(frozen=True)
@@ -67,29 +68,8 @@ class TrainConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "TrainConfig":
-        types = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(
-                    f"training config line {lineno}: expected 'key = value'"
-                )
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in types:
-                raise ValidationError(
-                    f"training config line {lineno}: unknown key {key!r}"
-                )
-            try:
-                kwargs[key] = int(value) if types[key] == "int" else float(value)
-            except ValueError:
-                raise ValidationError(
-                    f"training config line {lineno}: bad value {value!r} for {key}"
-                ) from None
-        return cls(**kwargs)
+        types = {f.name: int if f.type == "int" else float for f in fields(cls)}
+        return cls(**parse_key_values(text, types, "training config"))
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,13 @@ be scored.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, fields
 
@@ -52,16 +54,51 @@ MANIFEST_TAG = "#VMAN1"
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write-then-rename so failures never leave partial files behind."""
+    """Write-then-rename so failures never leave partial files behind.
+
+    The tmp name is unique per process and thread; it is removed when the
+    write fails.
+    """
     path = os.fspath(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode())
+
+
+def parse_key_values(text: str, types: dict, what: str) -> dict:
+    """Typed values from `key = value` lines; '#' starts a comment.
+
+    `types` maps each allowed key to int or float.  Unknown keys, lines
+    without '=' and values that do not parse as the key's type (an int key
+    rejects "32.7") raise ValidationError naming `what` and the line.
+    """
+    values = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValidationError(f"{what} line {lineno}: expected 'key = value'")
+        if key not in types:
+            raise ValidationError(f"{what} line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = types[key](value)
+        except ValueError:
+            raise ValidationError(
+                f"{what} line {lineno}: bad value {value!r} for {key}"
+            ) from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +174,16 @@ def read_volume(data: bytes) -> VolumeRecord:
     if channels != 3:
         raise ValidationError(f"expected 3 channels, file has {channels}")
     pos = 24
-    (id_len,) = struct.unpack_from("<H", data, pos)
-    pos += 2
-    vol_id = data[pos:pos + id_len].decode()
-    pos += id_len
-    (label_len,) = struct.unpack_from("<H", data, pos)
-    pos += 2
-    label = data[pos:pos + label_len].decode() or None
+    try:
+        (id_len,) = struct.unpack_from("<H", data, pos)
+        pos += 2
+        vol_id = data[pos:pos + id_len].decode()
+        pos += id_len
+        (label_len,) = struct.unpack_from("<H", data, pos)
+        pos += 2
+        label = data[pos:pos + label_len].decode() or None
+    except (UnicodeDecodeError, struct.error) as e:
+        raise ValidationError(f"volume id or label is malformed: {e}") from None
     pos += label_len
     n_bytes = 4 * 3 * d * h * w
     if len(data) != pos + n_bytes + 4:
@@ -419,51 +459,24 @@ class PhantomParams:
                   self.seed)
         return "".join(f"{k} = {v!r}\n" for k, v in zip(self._KEYS, values))
 
+    # file keys that together give one tuple field, in tuple order
+    _GROUPS = {"extents": _KEYS[0:3], "region_radii": _KEYS[4:7],
+               "cavity_scales": _KEYS[7:10]}
+
     @classmethod
     def from_text(cls, text: str) -> "PhantomParams":
-        raw: dict = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
+        ints = cls._GROUPS["extents"] + ("samples_per_class", "seed")
+        kwargs = parse_key_values(
+            text, {k: int if k in ints else float for k in cls._KEYS},
+            "phantom params")
+        for name, keys in cls._GROUPS.items():
+            given = [k for k in keys if k in kwargs]
+            if given and len(given) < len(keys):
                 raise ValidationError(
-                    f"phantom params line {lineno}: expected 'key = value'"
-                )
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in cls._KEYS:
-                raise ValidationError(
-                    f"phantom params line {lineno}: unknown key {key!r}"
-                )
-            try:
-                raw[key] = float(value)
-            except ValueError:
-                raise ValidationError(
-                    f"phantom params line {lineno}: bad value {value!r}"
-                ) from None
-        kwargs = {}
-        if {"extent_depth", "extent_height", "extent_width"} & set(raw):
-            kwargs["extents"] = tuple(int(raw.pop(k)) for k in
-                                      ("extent_depth", "extent_height",
-                                       "extent_width"))
-        if {"region_radius_ad", "region_radius_mci", "region_radius_cn"} & set(raw):
-            kwargs["region_radii"] = tuple(raw.pop(k) for k in
-                                           ("region_radius_ad",
-                                            "region_radius_mci",
-                                            "region_radius_cn"))
-        if {"cavity_scale_ad", "cavity_scale_mci", "cavity_scale_cn"} & set(raw):
-            kwargs["cavity_scales"] = tuple(raw.pop(k) for k in
-                                            ("cavity_scale_ad",
-                                             "cavity_scale_mci",
-                                             "cavity_scale_cn"))
-        for key, value in raw.items():
-            kwargs[key] = int(value) if key in ("samples_per_class",
-                                                "seed") else value
-        try:
-            return cls(**kwargs)
-        except TypeError as e:
-            raise ValidationError(f"incomplete phantom params: {e}") from e
+                    f"phantom params: {name} needs all of {', '.join(keys)}")
+            if given:
+                kwargs[name] = tuple(kwargs.pop(k) for k in keys)
+        return cls(**kwargs)
 
 
 # GM density inside the blob, per class: atrophy thins the region, so the

@@ -8,7 +8,11 @@ well under a minute.
 
 import hashlib
 import io
+import json
 import os
+import shutil
+import struct
+import zlib
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -18,11 +22,16 @@ from voxcnn.cli import main
 from voxcnn.metrics import CLASSES, confusion_matrix, overall_accuracy
 from voxcnn.models import (
     AlexNetConfig,
+    GoogleNetConfig,
+    build_layers,
     build_model,
+    config_to_dict,
     config_to_json,
     load_model_file,
+    parameter_shapes,
     save_model_file,
 )
+from voxcnn.presets import arch_preset
 from voxcnn.training import TrainConfig
 from voxcnn.volumes import (
     PhantomParams,
@@ -180,6 +189,23 @@ class TestGenerate:
         assert main(["generate", "--params", str(params),
                      "--out", str(tmp_path / "d")]) == 3
         assert "contrast" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,key", [
+        ("extent_depth = 20.5\nextent_height = 22\nextent_width = 20\n",
+         "extent_depth"),
+        ("seed = 1.9\n", "seed"),
+        ("extent_depth = 20\n", "extent_height"),
+    ])
+    def test_malformed_params_value(self, tmp_path, capsys, text, key):
+        """A non-integral integer or an incomplete extent group is a
+        validation failure that writes nothing."""
+        params = tmp_path / "p.txt"
+        params.write_text(text)
+        out = tmp_path / "d"
+        assert main(["generate", "--params", str(params),
+                     "--out", str(out)]) == 3
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override(self, params_path, tmp_path):
         """--seed replaces the seed stored in the parameter file."""
@@ -344,6 +370,32 @@ class TestEval:
         assert main(["eval", "--manifest", manifest_path, "--model",
                      "/no/such/model.v0xn"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_model_config(self, manifest_path, model_trio, tmp_path,
+                                   capsys):
+        """A model file whose config bytes are not UTF-8 is a data error."""
+        blob = bytearray(file_bytes(model_trio[0]))
+        blob[12] = 0xFF
+        bad = tmp_path / "bad.v0xn"
+        bad.write_bytes(bytes(blob))
+        assert main(["eval", "--manifest", manifest_path, "--model",
+                     str(bad)]) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_volume_id(self, dataset_dir, model_trio, tmp_path,
+                                capsys):
+        """A volume whose id is not UTF-8 is a data error even when its
+        checksum matches."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        victim = sorted((data / "volumes").iterdir())[0]
+        blob = bytearray(victim.read_bytes())
+        blob[26] = 0xFF
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        victim.write_bytes(bytes(blob))
+        assert main(["eval", "--manifest", str(data / "manifest.vman"),
+                     "--model", model_trio[0], "--split", "all"]) == 3
+        assert "malformed" in capsys.readouterr().err
 
     def test_empty_split_without_seed(self, tmp_path, model_trio, capsys):
         """Asking for an untagged split with no --seed fails cleanly."""
@@ -530,6 +582,30 @@ class TestInfo:
         assert main(["info", "--arch-config", "alexnet3d",
                      "--input-shape", "9,9,9"]) == 3
         assert "pool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["alexnet3d-toy", "vgg16-3d-toy",
+                                        "googlenet3d-toy"])
+    def test_op_count_rows_match_conv_weights(self, preset, capsys):
+        """One row per counting mode for each 5-d weight tensor, named as
+        that tensor without ".w"."""
+        assert main(["info", "--arch-config", preset]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines.index("conv layer,mode,multiplications,additions")
+        rows = sorted(tuple(l.split(",")[:2]) for l in lines[header + 1:])
+        shapes = parameter_shapes(build_layers(arch_preset(preset)))
+        convs = [n[:-2] for n, s in shapes.items()
+                 if n.endswith(".w") and len(s) == 5]
+        assert rows == sorted((c, m) for c in convs
+                              for m in ("paper-convention", "standard"))
+
+    def test_more_than_ten_inception_modules(self, tmp_path, capsys):
+        """A stage of eleven modules is a validation error, not a crash."""
+        cfg = config_to_dict(GoogleNetConfig())
+        cfg["inception"][0] = cfg["inception"][0][:1] * 11
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["info", "--arch-config", str(path)]) == 3
+        assert "10 modules" in capsys.readouterr().err
 
     def test_info_without_flags(self, capsys):
         """info needs either an architecture or probe flags."""

@@ -172,6 +172,13 @@ class TestConfigs:
         with pytest.raises(ValidationError):
             VggConfig(block_widths=(8, 8, 8, 8))
 
+    def test_inception_stage_size_bounded(self):
+        """Modules are lettered a-j, so a stage holds at most ten."""
+        stages = list(GoogleNetConfig().inception)
+        stages[0] = stages[0][:1] * 11
+        with pytest.raises(ValidationError, match="10 modules"):
+            GoogleNetConfig(inception=tuple(stages))
+
     def test_input_shape_must_have_three_channels(self):
         with pytest.raises(ValidationError):
             AlexNetConfig(input_shape=(1, 32, 32, 32))
@@ -542,6 +549,12 @@ class TestSaveLoad:
         blob = save_model(micro_model("alexnet3d-micro"))
         with pytest.raises(ValidationError):
             load_model(blob + b"\x00\x00")
+
+    def test_non_utf8_config_rejected(self):
+        blob = bytearray(save_model(micro_model("alexnet3d-micro")))
+        blob[12] = 0xFF
+        with pytest.raises(ValidationError, match="UTF-8"):
+            load_model(bytes(blob))
 
     def test_version_mismatch_rejected(self):
         blob = bytearray(save_model(micro_model("alexnet3d-micro")))

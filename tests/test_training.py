@@ -73,6 +73,10 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match="epochs"):
             TrainConfig.from_text("epochs = twelve\n")
 
+    def test_from_text_rejects_non_integral_int(self):
+        with pytest.raises(ValidationError, match="epochs"):
+            TrainConfig.from_text("epochs = 12.5\n")
+
     def test_invalid_settings_rejected(self):
         for kwargs in (dict(epochs=-1), dict(batch_size=0),
                        dict(dropout_rate=1.0), dict(l2_lambda=-0.1),

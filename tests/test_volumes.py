@@ -2,6 +2,8 @@
 
 import os
 import struct
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -18,6 +20,7 @@ from voxcnn.volumes import (
     REGION_GM,
     VolumeDataset,
     VolumeRecord,
+    atomic_write_bytes,
     generate_phantoms,
     load_manifest,
     load_mask,
@@ -86,6 +89,17 @@ class TestVolumeFormat:
         with pytest.raises(ValidationError, match="magic"):
             read_volume(blob)
 
+    @pytest.mark.parametrize("offset,value", [(26, b"\xff"),
+                                              (24, b"\xff\xff")])
+    def test_malformed_id_rejected(self, offset, value):
+        """A non-UTF-8 id, or an id length running past the end, is
+        rejected even when the checksum matches."""
+        blob = bytearray(write_volume(tiny_record(vol_id="t1")))
+        blob[offset:offset + len(value)] = value
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+        with pytest.raises(ValidationError, match="malformed"):
+            read_volume(bytes(blob))
+
     def test_truncation_rejected(self):
         blob = write_volume(tiny_record())
         with pytest.raises(ValidationError):
@@ -115,6 +129,44 @@ class TestVolumeFormat:
             VolumeRecord(id="x", data=np.zeros((3, 2, 2, 2)), label="HC")
         with pytest.raises(ValidationError, match="finite"):
             VolumeRecord(id="x", data=np.full((3, 2, 2, 2), np.nan))
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_directory_unchanged(self, tmp_path):
+        (tmp_path / "keep.bin").write_bytes(b"kept")
+        with pytest.raises(TypeError):
+            atomic_write_bytes(tmp_path / "out.bin", "not bytes")
+        assert os.listdir(tmp_path) == ["keep.bin"]
+
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        """Threads writing one path each land a whole payload; none fails
+        and no tmp file is left."""
+        path = tmp_path / "out.bin"
+        payloads = [bytes([i]) * 65536 for i in range(8)]
+        errors = []
+
+        def writer(data):
+            try:
+                for _ in range(20):
+                    atomic_write_bytes(path, data)
+            except OSError as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(p,))
+                       for p in payloads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_bytes() in payloads
+        assert os.listdir(tmp_path) == ["out.bin"]
 
 
 class TestStackInput:
@@ -213,6 +265,18 @@ class TestPhantomParams:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="contrast"):
             PhantomParams.from_text("contrast = 2\n")
+
+    @pytest.mark.parametrize("text", [
+        "extent_depth = 32.7\nextent_height = 40\nextent_width = 32\n",
+        "seed = 1.9\n",
+    ])
+    def test_non_integral_int_rejected(self, text):
+        with pytest.raises(ValidationError, match="bad value"):
+            PhantomParams.from_text(text)
+
+    def test_incomplete_group_rejected(self):
+        with pytest.raises(ValidationError, match="extent_height"):
+            PhantomParams.from_text("extent_depth = 32\n")
 
     def test_radius_ordering_enforced(self):
         with pytest.raises(ValidationError, match="increase"):
