@@ -5,6 +5,13 @@ a float64 array of shape (C, D, H, W).  Every forward kernel returns the
 output together with whatever the matching backward kernel needs (the
 "cache"); backward kernels return exact analytic gradients.  Computation is
 64-bit throughout; 32-bit is a storage format only (see voxcnn.volumes).
+
+conv3d contracts a sliding-window view of the padded input with the weights
+in one tensordot.  conv3d_backward instead loops over the kernel offsets and
+runs one GEMM per offset for the weight gradient and one for the input
+gradient, each over a contiguous column range of the stride phases of the
+padded input, so it copies no window tensor.  Its input_grad=False skips the
+input gradient, which a network's first layer in training never needs.
 """
 
 from __future__ import annotations
@@ -162,8 +169,22 @@ def conv3d(x, weights, bias, spec: ConvSpec):
     return out, cache
 
 
-def conv3d_backward(cache, grad_out):
-    """Gradients of conv3d: returns (grad_input, grad_weights, grad_bias)."""
+def conv3d_backward(cache, grad_out, input_grad=True):
+    """Gradients of conv3d: returns (grad_input, grad_weights, grad_bias).
+
+    One loop over the kernel offsets (i, j, k) runs one GEMM per offset for
+    the weight gradient and, unless input_grad is False, one for the input
+    gradient; with input_grad False, grad_input is None.
+
+    The padded input is split into stride phases: per axis, padded voxel
+    s*a + r goes to position a of phase r, so offset i = s*a + r reads
+    phase r from position a on with unit stride.  For stride 1 there is one
+    phase, the padded input itself, and nothing is copied.  grad_out sits in
+    a zero (C_out, D', Hq, Wq) grid over the phase extents; flattened, output
+    column p then meets phase column p + o with o = (a*Hq + b)*Wq + c, so
+    each offset reads or accumulates the contiguous column range [o, o + n)
+    of the flattened phase, and the grid's zero columns contribute nothing.
+    """
     xp, x_shape, weights, spec, out_sp = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
     expected = (spec.out_channels,) + out_sp
@@ -171,27 +192,43 @@ def conv3d_backward(cache, grad_out):
         raise ValidationError(
             f"conv3d backward: upstream shape {grad_out.shape} != {expected}"
         )
-    sd, sh, sw = spec.stride
-    pd, ph, pw = spec.padding
+    c_out, c_in = spec.out_channels, spec.in_channels
+    s = spec.stride
     od, oh, ow = out_sp
 
     grad_bias = grad_out.sum(axis=(1, 2, 3))
 
-    win = sliding_window_view(xp, spec.kernel, axis=(1, 2, 3))[:, ::sd, ::sh, ::sw]
-    grad_weights = np.tensordot(grad_out, win, axes=([1, 2, 3], [1, 2, 3]))
+    # (sd, sh, sw, C_in, Dq*Hq*Wq): zeros round the padded extents up to
+    # multiples of the stride, giving phase extents q
+    extra = [-e % t for e, t in zip(xp.shape[1:], s)]
+    xq = np.pad(xp, [(0, 0)] + [(0, r) for r in extra]) if any(extra) else xp
+    q = tuple((e + r) // t for e, r, t in zip(xp.shape[1:], extra, s))
+    xf = np.ascontiguousarray(
+        xq.reshape(c_in, q[0], s[0], q[1], s[1], q[2], s[2])
+        .transpose(2, 4, 6, 0, 1, 3, 5)).reshape(s + (c_in, -1))
+    _, qh, qw = q
+    n = (od - 1) * qh * qw + (oh - 1) * qw + ow
+    grid = np.zeros((c_out, od, qh, qw))
+    grid[:, :, :oh, :ow] = grad_out
+    gf = grid.reshape(c_out, -1)[:, :n]
 
-    # scatter-add per kernel offset: windows overlap when stride < kernel
-    t = np.tensordot(weights, grad_out, axes=([0], [0]))
-    grad_xp = np.zeros_like(xp)
-    for i in range(spec.kernel[0]):
-        for j in range(spec.kernel[1]):
-            for k in range(spec.kernel[2]):
-                grad_xp[
-                    :,
-                    i : i + sd * (od - 1) + 1 : sd,
-                    j : j + sh * (oh - 1) + 1 : sh,
-                    k : k + sw * (ow - 1) + 1 : sw,
-                ] += t[:, i, j, k]
+    # (kd, kh, kw, C_in, C_out): each offset's transposed weights contiguous
+    wt = np.ascontiguousarray(weights.transpose(2, 3, 4, 1, 0))
+    gw = np.empty(spec.kernel + (c_out, c_in))
+    gxf = np.zeros_like(xf) if input_grad else None
+    for i, j, k in np.ndindex(*spec.kernel):
+        (a, ri), (b, rj), (c, rk) = divmod(i, s[0]), divmod(j, s[1]), divmod(k, s[2])
+        o = (a * qh + b) * qw + c
+        gw[i, j, k] = gf @ xf[ri, rj, rk, :, o : o + n].T
+        if input_grad:
+            gxf[ri, rj, rk, :, o : o + n] += wt[i, j, k] @ gf
+    grad_weights = np.ascontiguousarray(gw.transpose(3, 4, 0, 1, 2))
+    if not input_grad:
+        return None, grad_weights, grad_bias
+
+    grad_xp = (gxf.reshape(s + (c_in,) + q).transpose(3, 4, 0, 5, 1, 6, 2)
+               .reshape(xq.shape))
+    pd, ph, pw = spec.padding
     _, d, h, w = x_shape
     grad_x = grad_xp[:, pd : pd + d, ph : ph + h, pw : pw + w]
     return np.ascontiguousarray(grad_x), grad_weights, grad_bias

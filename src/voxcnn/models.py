@@ -82,8 +82,12 @@ class Layer:
         """Return (output, cache) for one input."""
         raise NotImplementedError
 
-    def backward(self, cache, g, grads: dict):
-        """Return the input gradient; store parameter gradients in grads."""
+    def backward(self, cache, g, grads: dict, input_grad: bool = True):
+        """Return the input gradient; store parameter gradients in grads.
+
+        With input_grad False the caller discards the result, so a layer may
+        skip computing it and return None.
+        """
         return g
 
     def convs(self, shape: tuple) -> list:
@@ -116,9 +120,9 @@ class ConvLayer(Layer):
         return conv3d(x, params[f"{self.name}.w"], params[f"{self.name}.b"],
                       self.spec)
 
-    def backward(self, cache, g, grads):
+    def backward(self, cache, g, grads, input_grad=True):
         g, grads[f"{self.name}.w"], grads[f"{self.name}.b"] = conv3d_backward(
-            cache, g)
+            cache, g, input_grad=input_grad)
         return g
 
     def convs(self, shape):
@@ -141,7 +145,7 @@ class PoolLayer(Layer):
         out, _, cache = maxpool3d(x, self.spec)
         return out, cache
 
-    def backward(self, cache, g, grads):
+    def backward(self, cache, g, grads, input_grad=True):
         return maxpool3d_backward(cache, g)
 
 
@@ -152,7 +156,7 @@ class ReluLayer(Layer):
     def forward(self, x, params, run):
         return relu(x)
 
-    def backward(self, cache, g, grads):
+    def backward(self, cache, g, grads, input_grad=True):
         return relu_backward(cache, g)
 
 
@@ -165,7 +169,7 @@ class DropoutLayer(Layer):
         rate = self.rate if run.dropout_rate is None else run.dropout_rate
         return dropout(x, rate, run.mode, run.gen)
 
-    def backward(self, cache, g, grads):
+    def backward(self, cache, g, grads, input_grad=True):
         return dropout_backward(cache, g)
 
 
@@ -181,7 +185,7 @@ class FlattenLayer(Layer):
     def forward(self, x, params, run):
         return x.reshape(-1), x.shape
 
-    def backward(self, cache, g, grads):
+    def backward(self, cache, g, grads, input_grad=True):
         return g.reshape(cache)
 
 
@@ -205,7 +209,7 @@ class DenseLayer(Layer):
     def forward(self, x, params, run):
         return dense(x, params[f"{self.name}.w"], params[f"{self.name}.b"])
 
-    def backward(self, cache, g, grads):
+    def backward(self, cache, g, grads, input_grad=True):
         g, grads[f"{self.name}.w"], grads[f"{self.name}.b"] = dense_backward(
             cache, g)
         return g
@@ -262,9 +266,11 @@ def _forward_walk(layers, x, params, run: Run):
     return x, entries
 
 
-def _backward_walk(layers, entries, g, grads: dict):
-    for l, c in zip(reversed(layers), reversed(entries)):
-        g = l.backward(c, g, grads)
+def _backward_walk(layers, entries, g, grads: dict, input_grad: bool = True):
+    """Walk the layers in reverse; input_grad reaches the first layer only,
+    since every later layer's input gradient feeds the layer before it."""
+    for n in range(len(layers) - 1, -1, -1):
+        g = layers[n].backward(entries[n], g, grads, input_grad or n > 0)
     return g
 
 
@@ -312,11 +318,12 @@ class InceptionLayer(Layer):
         out, widths = concat_channels([out for out, _ in walks])
         return out, ([entries for _, entries in walks], widths)
 
-    def backward(self, cache, g, grads):
+    def backward(self, cache, g, grads, input_grad=True):
         caches, widths = cache
-        gs = [_backward_walk(branch, entries, gb, grads) for branch, entries, gb
+        gs = [_backward_walk(branch, entries, gb, grads, input_grad)
+              for branch, entries, gb
               in zip(self.branches, caches, concat_channels_backward(widths, g))]
-        return sum(gs[1:], gs[0])
+        return sum(gs[1:], gs[0]) if input_grad else None
 
     def convs(self, shape):
         return [c for branch in self.branches
@@ -413,11 +420,8 @@ class GoogleNetConfig:
     def __post_init__(self):
         object.__setattr__(self, "input_shape", _tup(self.input_shape))
         object.__setattr__(self, "stem_widths", _tup(self.stem_widths))
-        stages = tuple(
-            tuple(t if isinstance(t, InceptionSpec) else InceptionSpec(*_tup(t))
-                  for t in stage)
-            for stage in self.inception
-        )
+        stages = tuple(tuple(_inception_spec(t) for t in stage)
+                       for stage in self.inception)
         object.__setattr__(self, "inception", stages)
         _validate_common(self)
         if len(self.stem_widths) != 3:
@@ -425,6 +429,15 @@ class GoogleNetConfig:
         if len(stages) != 3 or any(not 1 <= len(s) <= 10 for s in stages):
             raise ValidationError(
                 "googlenet3d needs 3 inception stages of 1 to 10 modules")
+
+
+def _inception_spec(t) -> InceptionSpec:
+    if isinstance(t, InceptionSpec):
+        return t
+    t = _tup(t)
+    if len(t) != 6:
+        raise ValidationError(f"an inception module needs 6 widths, got {t}")
+    return InceptionSpec(*t)
 
 
 ArchConfig = Union[AlexNetConfig, VggConfig, GoogleNetConfig]
@@ -464,6 +477,22 @@ def config_to_dict(cfg: ArchConfig) -> dict:
     return d
 
 
+def _check_like(value, default, what: str) -> None:
+    """Reject a value whose type differs from the field default's: a tuple
+    default wants a list (each entry checked against its first entry), an
+    int default an integer, a float default a number."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{what} must be a list, got {value!r}")
+        for v in value:
+            _check_like(v, default[0], what)
+        return
+    number = (int, float) if isinstance(default, float) else int
+    if isinstance(value, bool) or not isinstance(value, number):
+        kind = "a number" if isinstance(default, float) else "an integer"
+        raise ValidationError(f"{what} must be {kind}, got {value!r}")
+
+
 def config_from_dict(d: dict) -> ArchConfig:
     if not isinstance(d, dict):
         raise ValidationError("architecture config must be a mapping")
@@ -474,13 +503,14 @@ def config_from_dict(d: dict) -> ArchConfig:
     if version != CONFIG_FORMAT_VERSION:
         raise ValidationError(f"unsupported config format version {version}")
     cls = _CONFIG_CLASSES[arch]
-    known = {f.name for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls)}
     kwargs = {}
     for k, v in d.items():
         if k in ("architecture", "format_version"):
             continue
-        if k not in known:
+        if k not in defaults:
             raise ValidationError(f"unknown config field {k!r} for {arch}")
+        _check_like(v, defaults[k], f"config field {k!r}")
         kwargs[k] = v
     return cls(**kwargs)
 
@@ -759,6 +789,11 @@ def backpropagate(model: Model, cache: ForwardCache, grad_logits):
     Returns (grads, grad_input): a gradient for every parameter tensor plus
     the gradient with respect to the model input.
     """
+    return _backpropagate(model, cache, grad_logits, input_grad=True)
+
+
+def _backpropagate(model: Model, cache: ForwardCache, grad_logits,
+                   input_grad: bool):
     _check_cache(model, cache)
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != cache.logits.shape:
@@ -766,14 +801,18 @@ def backpropagate(model: Model, cache: ForwardCache, grad_logits):
             f"grad_logits shape {grad_logits.shape} != {cache.logits.shape}"
         )
     grads: dict[str, np.ndarray] = {}
-    g = _backward_walk(model.layers, cache.entries, grad_logits, grads)
+    g = _backward_walk(model.layers, cache.entries, grad_logits, grads,
+                       input_grad)
     return grads, g
 
 
 def model_backward(model: Model, cache: ForwardCache, true_class: int):
-    """Cross-entropy gradients for every parameter; returns (grads, loss)."""
+    """Cross-entropy gradients for every parameter; returns (grads, loss).
+
+    Training never reads the model-input gradient, so it is not computed.
+    """
     _, loss, grad_logits = softmax_xent(cache.logits, true_class)
-    grads, _ = backpropagate(model, cache, grad_logits)
+    grads, _ = _backpropagate(model, cache, grad_logits, input_grad=False)
     missing = set(model.params) - set(grads)
     if missing:
         raise ValidationError(f"gradients missing for {sorted(missing)}")

@@ -35,6 +35,37 @@ def conv3d_loops(x, w, b, stride, padding):
     return out
 
 
+def conv3d_backward_loops(x, w, grad_out, stride, padding):
+    """Input, weight and bias gradients of conv3d_loops for an upstream
+    gradient, accumulated over every (output voxel, input channel, kernel
+    offset) that conv3d_loops multiplies."""
+    c_out, c_in, kd, kh, kw = w.shape
+    sd, sh, sw = stride
+    pd, ph, pw = padding
+    _, d, h, wd = x.shape
+    _, od, oh, ow = grad_out.shape
+    grad_x = np.zeros(x.shape)
+    grad_w = np.zeros(w.shape)
+    grad_b = np.zeros(c_out)
+    for o in range(c_out):
+        for z in range(od):
+            for y in range(oh):
+                for xx in range(ow):
+                    g = grad_out[o, z, y, xx]
+                    grad_b[o] += g
+                    for c in range(c_in):
+                        for i in range(kd):
+                            for j in range(kh):
+                                for k in range(kw):
+                                    zi = z * sd - pd + i
+                                    yi = y * sh - ph + j
+                                    xi = xx * sw - pw + k
+                                    if 0 <= zi < d and 0 <= yi < h and 0 <= xi < wd:
+                                        grad_x[c, zi, yi, xi] += g * w[o, c, i, j, k]
+                                        grad_w[o, c, i, j, k] += g * x[c, zi, yi, xi]
+    return grad_x, grad_w, grad_b
+
+
 def maxpool3d_loops(x, kernel, stride, padding):
     """Exhaustive window scan; padded positions never participate."""
     kd, kh, kw = kernel

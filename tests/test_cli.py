@@ -382,6 +382,22 @@ class TestEval:
                      str(bad)]) == 3
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_wrongly_typed_model_config(self, manifest_path, model_trio,
+                                        tmp_path, capsys):
+        """A model file whose config JSON has a wrongly typed field is a data
+        error, like the same JSON given to --arch-config."""
+        blob = file_bytes(model_trio[0])
+        (cfg_len,) = struct.unpack("<I", blob[8:12])
+        cfg = json.loads(blob[12:12 + cfg_len])
+        cfg["conv_widths"] = "abc"
+        text = json.dumps(cfg).encode()
+        bad = tmp_path / "typed.v0xn"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                        + blob[12 + cfg_len:])
+        assert main(["eval", "--manifest", manifest_path, "--model",
+                     str(bad)]) == 3
+        assert "conv_widths" in capsys.readouterr().err
+
     def test_non_utf8_volume_id(self, dataset_dir, model_trio, tmp_path,
                                 capsys):
         """A volume whose id is not UTF-8 is a data error even when its
@@ -606,6 +622,24 @@ class TestInfo:
         path.write_text(json.dumps(cfg))
         assert main(["info", "--arch-config", str(path)]) == 3
         assert "10 modules" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arch, field, value", [
+        ("alexnet3d", "conv_widths", "abc"),
+        ("alexnet3d", "input_shape", 5),
+        ("alexnet3d", "dropout_rate", "x"),
+        ("googlenet3d", "inception", [[1]]),
+        ("alexnet3d", "stem_kernel", 2.5),
+        ("alexnet3d", "class_count", None),
+        ("googlenet3d", "inception", [[[1, 2]]]),
+    ])
+    def test_wrongly_typed_config_field(self, arch, field, value, tmp_path,
+                                        capsys):
+        """A config field of the wrong type is a validation error naming the
+        field, not a traceback."""
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps({"architecture": arch, field: value}))
+        assert main(["info", "--arch-config", str(path)]) == 3
+        assert field in capsys.readouterr().err
 
     def test_info_without_flags(self, capsys):
         """info needs either an architecture or probe flags."""

@@ -28,6 +28,7 @@ from voxcnn.kernels import (
 )
 
 from oracles import (
+    conv3d_backward_loops,
     conv3d_loops,
     dense_loops,
     maxpool3d_loops,
@@ -121,6 +122,47 @@ class TestConv3d:
             return float((o * g).sum())
 
         assert relative_error(gx, numeric_gradient(loss_x, x)) < 1e-5
+
+    @pytest.mark.parametrize("cin, cout, sp, k, s, p", [
+        (1, 2, (5, 5, 5), (3, 3, 3), (1, 1, 1), (0, 0, 0)),
+        (2, 3, (6, 7, 5), (3, 3, 3), (1, 1, 1), (1, 1, 1)),
+        (3, 2, (5, 6, 4), (2, 3, 1), (1, 1, 1), (0, 2, 1)),
+        (3, 2, (8, 9, 7), (3, 2, 4), (2, 2, 1), (1, 0, 2)),
+        (2, 4, (9, 8, 9), (5, 5, 5), (2, 2, 2), (2, 2, 2)),
+        (2, 3, (5, 7, 6), (2, 3, 1), (1, 3, 2), (0, 1, 0)),
+        (4, 2, (4, 4, 4), (1, 1, 1), (1, 1, 1), (0, 0, 0)),
+        (1, 1, (7, 6, 5), (1, 1, 1), (2, 2, 2), (1, 1, 1)),
+    ])
+    def test_backward_matches_loop_reference(self, cin, cout, sp, k, s, p):
+        """Input, weight and bias gradients equal the loop reference for
+        unit and mixed strides, non-cubic kernels, padded extents with
+        Hp != Wp, one input channel and 1x1x1 kernels."""
+        rng = np.random.default_rng(sum(sp) + 7 * cin)
+        x = rng.standard_normal((cin,) + sp)
+        w = rng.standard_normal((cout, cin) + k)
+        out, cache = conv3d(x, w, rng.standard_normal(cout),
+                            ConvSpec(cin, cout, k, s, p))
+        g = rng.standard_normal(out.shape)
+        for got, ref in zip(conv3d_backward(cache, g),
+                            conv3d_backward_loops(x, w, g, s, p)):
+            assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    def test_backward_without_input_gradient(self):
+        """input_grad=False returns None for the input gradient and the same
+        weight and bias gradients, bit for bit."""
+        rng = np.random.default_rng(37)
+        for spec in (ConvSpec(2, 3, (3, 3, 3), 1, 1),
+                     ConvSpec(3, 2, (5, 5, 5), 2, 2)):
+            x = rng.standard_normal((spec.in_channels, 9, 8, 7))
+            w = rng.standard_normal((spec.out_channels, spec.in_channels)
+                                    + spec.kernel)
+            out, cache = conv3d(x, w, np.zeros(spec.out_channels), spec)
+            g = rng.standard_normal(out.shape)
+            _, gw, gb = conv3d_backward(cache, g)
+            none, gw2, gb2 = conv3d_backward(cache, g, input_grad=False)
+            assert none is None
+            assert_array_equal(gw2, gw)
+            assert_array_equal(gb2, gb)
 
     def test_shape_mismatch_rejected(self):
         spec = ConvSpec(2, 3, (3, 3, 3))

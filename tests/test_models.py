@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import voxcnn.models
 from voxcnn.errors import NumericError, ValidationError
 from voxcnn.kernels import ConvSpec, PoolSpec, conv3d, maxpool3d, softmax_xent
 from voxcnn.models import (
@@ -486,6 +487,34 @@ class TestBackward:
             err = abs(numeric - grad_x[idx]) / max(abs(numeric),
                                                    abs(grad_x[idx]), 1e-8)
             assert err < 1e-4
+
+    def test_training_gradients_equal_backpropagate(self, monkeypatch):
+        """model_backward skips the input gradient of the first conv only,
+        and yields the same parameter gradients as backpropagate, bit for
+        bit."""
+        flags = []
+        real = voxcnn.models.conv3d_backward
+
+        def recording(cache, g, input_grad=True):
+            flags.append(input_grad)
+            return real(cache, g, input_grad)
+
+        monkeypatch.setattr(voxcnn.models, "conv3d_backward", recording)
+        x = np.random.default_rng(14).normal(size=(3, 9, 9, 9))
+        for name in MICRO_PRESETS:
+            model = micro_model(name)
+            _, cache = forward(model, x, mode="train", rng=0)
+            flags.clear()
+            grads, _ = model_backward(model, cache, 1)
+            assert flags.count(False) == 1 and flags[-1] is False
+            _, _, grad_logits = softmax_xent(cache.logits, 1)
+            flags.clear()
+            full, grad_x = backpropagate(model, cache, grad_logits)
+            assert False not in flags
+            assert grad_x.shape == x.shape
+            assert set(grads) == set(full)
+            for k in grads:
+                assert np.array_equal(grads[k], full[k]), (name, k)
 
     def test_stale_cache_rejected(self):
         """A cache recorded by one model cannot drive another's backward."""
