@@ -43,6 +43,7 @@ from .models import (
 from .presets import ARCH_PRESETS, TRAIN_PRESETS, arch_preset, train_preset
 from .saliency import class_mean_saliency, region_enrichment
 from .training import (
+    SplitPlan,
     TrainConfig,
     evaluate,
     make_kfold,
@@ -57,6 +58,7 @@ from .volumes import (
     atomic_write_text,
     generate_phantoms,
     load_mask,
+    read_text,
     save_volume,
 )
 
@@ -65,8 +67,7 @@ SPLIT_CHOICES = ("train", "val", "test", "heldout", "all")
 
 def _load_arch_config(value: str):
     if os.path.exists(value):
-        with open(value, encoding="utf-8") as f:
-            return config_from_json(f.read())
+        return config_from_json(read_text(value))
     return arch_preset(value)
 
 
@@ -74,8 +75,7 @@ def _load_train_config(value: str | None, seed: int | None) -> TrainConfig:
     if value is None:
         config = TrainConfig()
     elif os.path.exists(value):
-        with open(value, encoding="utf-8") as f:
-            config = TrainConfig.from_text(f.read())
+        config = TrainConfig.from_text(read_text(value))
     else:
         config = train_preset(value)
     if seed is not None:
@@ -83,23 +83,30 @@ def _load_train_config(value: str | None, seed: int | None) -> TrainConfig:
     return config
 
 
-def _select_ids(dataset: VolumeDataset, split: str, seed: int | None):
-    """Resolve a split name against manifest tags, or derive one by seed."""
-    if split == "all":
-        return dataset.ids
-    tagged = dataset.split_ids(split)
-    if tagged:
+def _split_groups(dataset: VolumeDataset, seed: int | None) -> dict:
+    """Ids per split name: the manifest tags when any record is tagged,
+    otherwise a split derived from seed.  "heldout" is val + test."""
+    tagged = {s: dataset.split_ids(s) for s in ("train", "val", "test", "heldout")}
+    if any(tagged.values()):
         return tagged
     if seed is None:
         raise ValidationError(
-            f"manifest has no {split!r} split tags; pass --seed to derive a "
-            "split or use --split all"
+            "manifest has no split tags; pass --seed to derive a split or "
+            "use --split all"
         )
     plan = split_dataset(dataset.ids, seed=seed)
-    groups = {"train": plan.train_ids, "val": plan.val_ids,
-              "test": plan.test_ids,
-              "heldout": plan.val_ids + plan.test_ids}
-    return groups[split]
+    return {"train": plan.train_ids, "val": plan.val_ids,
+            "test": plan.test_ids, "heldout": plan.val_ids + plan.test_ids}
+
+
+def _select_ids(dataset: VolumeDataset, split: str, seed: int | None):
+    ids = dataset.ids if split == "all" else _split_groups(dataset, seed)[split]
+    if not ids:
+        raise ValidationError(
+            f"split {split!r} selects no samples: the manifest has no "
+            f"{split!r} split tags"
+        )
+    return ids
 
 
 def _check_extents(dataset: VolumeDataset, input_shape) -> None:
@@ -117,8 +124,7 @@ def _check_extents(dataset: VolumeDataset, input_shape) -> None:
 
 
 def cmd_generate(args) -> int:
-    with open(args.params, encoding="utf-8") as f:
-        params = PhantomParams.from_text(f.read())
+    params = PhantomParams.from_text(read_text(args.params))
     if args.seed is not None:
         params = replace(params, seed=args.seed)
     manifest = generate_phantoms(params, args.out)
@@ -134,23 +140,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_split_plan(dataset: VolumeDataset, config: TrainConfig):
-    tagged = {s: dataset.split_ids(s) for s in ("train", "val", "test")}
-    if any(tagged.values()):
-        if not tagged["train"]:
-            raise ValidationError("manifest tags contain no training samples")
-        from .training import SplitPlan
-        return SplitPlan(train_ids=tagged["train"], val_ids=tagged["val"],
-                         test_ids=tagged["test"])
-    return split_dataset(dataset.ids, seed=config.seed)
-
-
 def cmd_train(args) -> int:
     arch = _load_arch_config(args.arch_config)
     config = _load_train_config(args.train_config, args.seed)
     dataset = VolumeDataset.from_manifest(args.manifest)
     _check_extents(dataset, arch.input_shape)
-    plan = _resolve_split_plan(dataset, config)
+    groups = _split_groups(dataset, config.seed)
+    if not groups["train"]:
+        raise ValidationError("manifest tags contain no training samples")
+    plan = SplitPlan(groups["train"], groups["val"], groups["test"])
     model = build_model(arch, seed=config.seed)
     model, history = train(model, dataset, plan, config)
     os.makedirs(args.out, exist_ok=True)
@@ -203,8 +201,6 @@ def cmd_eval(args) -> int:
     for m in models:
         _check_extents(dataset, m.input_shape)
     ids = _select_ids(dataset, args.split, args.seed)
-    if not ids:
-        raise ValidationError(f"split {args.split!r} selects no samples")
 
     names = []
     for m in models:

@@ -12,6 +12,10 @@ runs one GEMM per offset for the weight gradient and one for the input
 gradient, each over a contiguous column range of the stride phases of the
 padded input, so it copies no window tensor.  Its input_grad=False skips the
 input gradient, which a network's first layer in training never needs.
+
+Kernels check shapes, not values: a NaN or inf passes through them.  The
+model's forward walk (voxcnn.models) scans each layer's output once, and
+model files reject non-finite tensors when they are loaded.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 
 Triple = tuple[int, int, int]
 
@@ -115,11 +119,6 @@ def out_extents(spatial, kernel, stride, padding, *, what: str = "layer") -> Tri
     return tuple(out)
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericError(f"{what} contains non-finite values")
-
-
 def _check_volume(x: np.ndarray, what: str = "input") -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
@@ -154,9 +153,6 @@ def conv3d(x, weights, bias, spec: ConvSpec):
         raise ValidationError(
             f"conv3d: bias shape {bias.shape} != ({spec.out_channels},)"
         )
-    _require_finite(x, "conv3d input")
-    _require_finite(weights, "conv3d weights")
-    _require_finite(bias, "conv3d bias")
 
     out_sp = spec.out_spatial(x.shape[1:])
     pd, ph, pw = spec.padding
@@ -248,15 +244,12 @@ def maxpool3d(x, spec: PoolSpec):
     participate in the max.
     """
     x = _check_volume(x)
-    _require_finite(x, "maxpool3d input")
     c, d, h, w = x.shape
     out_sp = out_extents(x.shape[1:], spec.kernel, spec.stride, spec.padding,
                          what="maxpool3d")
     kd, kh, kw = spec.kernel
     sd, sh, sw = spec.stride
     pd, ph, pw = spec.padding
-    if d + 2 * pd < kd or h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ValidationError("maxpool3d: window larger than padded input")
 
     xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)),
                 constant_values=-np.inf)
@@ -400,7 +393,6 @@ def softmax_xent(logits, true_class: int | None = None):
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1:
         raise ValidationError(f"softmax: logits must be 1-d, got {logits.shape}")
-    _require_finite(logits, "softmax logits")
     shifted = logits - logits.max()
     exp = np.exp(shifted)
     total = exp.sum()

@@ -259,9 +259,20 @@ class InceptionSpec:
 
 
 def _forward_walk(layers, x, params, run: Run):
+    """Run the layers in order; returns (output, per-layer caches).
+
+    The one forward loop, for the top-level list and every inception branch:
+    a layer's error gains its name, and a non-finite output raises
+    NumericError naming the innermost layer that produced it.
+    """
     entries = []
     for l in layers:
-        x, c = l.forward(x, params, run)
+        try:
+            x, c = l.forward(x, params, run)
+        except VoxcnnError as e:
+            raise type(e)(f"layer {l.name!r}: {e}") from e
+        if not np.isfinite(x).all():
+            raise NumericError(f"layer {l.name!r}: non-finite activations")
         entries.append(c)
     return x, entries
 
@@ -727,12 +738,12 @@ def layer_census(model) -> dict:
 
 @dataclass
 class ForwardCache:
-    layer_names: tuple
+    """What backward reads; layers and params identify the model."""
+
+    layers: tuple
+    params: dict
     entries: list
     logits: np.ndarray
-    probs: np.ndarray
-    mode: str
-    params_ref: dict | None = None
 
 
 def forward(model: Model, x, mode: str = "eval", rng=None,
@@ -751,36 +762,14 @@ def forward(model: Model, x, mode: str = "eval", rng=None,
         raise ValidationError(
             f"input shape {x.shape} does not match model input {model.input_shape}"
         )
+    if not model.layers or model.layers[-1].kind != "softmax":
+        raise ValidationError("model does not end in a softmax layer")
+    if not np.isfinite(x).all():
+        raise NumericError("model input: non-finite values")
     run = Run(mode, np.random.default_rng(rng) if mode == "train" else None,
               dropout_rate)
-    entries = []
-    cur = x
-    for l in model.layers:
-        try:
-            cur, c = l.forward(cur, model.params, run)
-        except VoxcnnError as e:
-            raise type(e)(f"layer {l.name!r}: {e}") from e
-        if not np.isfinite(cur).all():
-            raise NumericError(f"layer {l.name!r}: non-finite activations")
-        entries.append(c)
-    softmax = [c for l, c in zip(model.layers, entries) if l.kind == "softmax"]
-    if not softmax:
-        raise ValidationError("model has no softmax layer")
-    logits = softmax[-1]
-    cache = ForwardCache(
-        layer_names=tuple(l.name for l in model.layers),
-        entries=entries, logits=logits, probs=cur, mode=mode,
-        params_ref=model.params)
-    return cur, cache
-
-
-def _check_cache(model: Model, cache: ForwardCache) -> None:
-    if cache.layer_names != tuple(l.name for l in model.layers):
-        raise ValidationError("cache does not belong to this model (stale cache)")
-    if cache.params_ref is not model.params:
-        raise ValidationError("cache was produced by a different model (stale cache)")
-    if len(cache.entries) != len(model.layers):
-        raise ValidationError("cache entry count mismatch (stale cache)")
+    probs, entries = _forward_walk(model.layers, x, model.params, run)
+    return probs, ForwardCache(model.layers, model.params, entries, entries[-1])
 
 
 def backpropagate(model: Model, cache: ForwardCache, grad_logits):
@@ -794,7 +783,8 @@ def backpropagate(model: Model, cache: ForwardCache, grad_logits):
 
 def _backpropagate(model: Model, cache: ForwardCache, grad_logits,
                    input_grad: bool):
-    _check_cache(model, cache)
+    if cache.layers is not model.layers or cache.params is not model.params:
+        raise ValidationError("cache was recorded by a different model (stale cache)")
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != cache.logits.shape:
         raise ValidationError(
@@ -911,6 +901,8 @@ def load_model(data: bytes) -> Model:
         raw = r.take(8 * n_items)
         params[name] = np.frombuffer(raw, dtype="<f8").astype(
             np.float64).reshape(shape)
+        if not np.isfinite(params[name]).all():
+            raise ValidationError(f"tensor {name!r} holds non-finite values")
     if r.pos != len(data):
         raise ValidationError("trailing bytes after model payload")
     return Model(config=config, layers=layers, params=params,

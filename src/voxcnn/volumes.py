@@ -75,6 +75,15 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's content; other bytes raise ValidationError."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def parse_key_values(text: str, types: dict, what: str) -> dict:
     """Typed values from `key = value` lines; '#' starts a comment.
 
@@ -116,9 +125,10 @@ class VolumeRecord:
         if not self.id:
             raise ValidationError("volume id must be non-empty")
         data = np.asarray(self.data, dtype=np.float32)
-        if data.ndim != 4 or data.shape[0] != 3:
+        if data.ndim != 4 or data.shape[0] != 3 or 0 in data.shape:
             raise ValidationError(
-                f"volume data must be (3, D, H, W), got {data.shape}"
+                f"volume data must be (3, D, H, W) with positive extents, "
+                f"got {data.shape}"
             )
         if not np.isfinite(data).all():
             raise ValidationError(f"volume {self.id!r}: non-finite values")
@@ -258,8 +268,7 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 def load_manifest(path) -> Manifest:
     """Parse and validate: unique subjects/paths, volumes present, extents equal."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith(MANIFEST_TAG + " "):
         raise ValidationError(f"{path}: missing {MANIFEST_TAG} header line")
     try:
@@ -278,9 +287,15 @@ def load_manifest(path) -> Manifest:
         vol_path, label, subject, split, fold = (c.strip() for c in row)
         if label and label not in CLASSES:
             raise ValidationError(f"{path}: unknown label {label!r}")
+        if split not in ("", "train", "val", "test"):
+            raise ValidationError(f"{path}: unknown split tag {split!r}")
+        try:
+            fold = int(fold) if fold else None
+        except ValueError:
+            raise ValidationError(f"{path}: fold {fold!r} is not an integer") from None
         records.append(ManifestRecord(
             path=vol_path, label=label or None, subject=subject,
-            split=split or None, fold=int(fold) if fold else None))
+            split=split or None, fold=fold))
     subjects = [r.subject for r in records]
     if len(set(subjects)) != len(subjects):
         dup = next(s for s in subjects if subjects.count(s) > 1)

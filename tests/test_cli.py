@@ -91,6 +91,16 @@ def tree_bytes(root):
     return out
 
 
+def edited_manifest(dataset_dir, tmp_path, edit):
+    """Copy the dataset and pass its manifest rows through edit(rows)."""
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    path = data / "manifest.vman"
+    head, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([head] + edit(rows)) + "\n")
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
@@ -426,6 +436,42 @@ class TestEval:
         assert rc == 3
         assert "no 'test' split tags" in capsys.readouterr().err
 
+    def test_partially_tagged_manifest_uses_tags(self, dataset_dir,
+                                                 model_trio, tmp_path, capsys):
+        """With train/test tags but no val tags, --seed does not derive a
+        val split from tagged volumes: the tagged val split is empty."""
+        manifest = edited_manifest(dataset_dir, tmp_path, lambda rows: [
+            r.replace(",val,", ",train,") for r in rows])
+        assert main(["eval", "--manifest", manifest, "--model",
+                     model_trio[0], "--split", "val", "--seed", "1"]) == 3
+        assert "selects no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell, message", [
+        (3, "unknown split tag 'holdout'"), (4, "fold 'x' is not an integer")])
+    def test_bad_manifest_cell(self, dataset_dir, model_trio, tmp_path,
+                               capsys, cell, message):
+        """A split tag other than train/val/test and a fold that is not an
+        integer are data errors."""
+        def edit(rows):
+            fields = rows[0].split(",")
+            fields[cell] = "holdout" if cell == 3 else "x"
+            return [",".join(fields)] + rows[1:]
+        manifest = edited_manifest(dataset_dir, tmp_path, edit)
+        assert main(["eval", "--manifest", manifest, "--model",
+                     model_trio[0], "--split", "all"]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_nonfinite_model_tensor(self, manifest_path, tmp_path, capsys):
+        """A model file with a NaN weight is refused at load time, naming the
+        tensor, before any forward pass."""
+        model = build_model(tiny_arch(), seed=1)
+        model.params["conv3.w"][0, 0, 1, 1, 1] = np.nan
+        bad = tmp_path / "nan.v0xn"
+        save_model_file(model, str(bad))
+        assert main(["eval", "--manifest", manifest_path, "--model",
+                     str(bad)]) == 3
+        assert "'conv3.w' holds non-finite values" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def cv_case(work, arch_path, train_cfg_path):
@@ -563,6 +609,49 @@ class TestSaliency:
                      str(model_dir / "model.v0xn"), "--classes", "XX",
                      "--out", str(tmp_path / "sal")]) == 3
         assert "unknown class" in capsys.readouterr().err
+
+    def test_zero_extent_mask(self, manifest_path, model_trio, tmp_path,
+                              capsys):
+        """A mask volume with a valid checksum and depth 0 is a data error."""
+        blob = (b"VVOL" + struct.pack("<IIIII", 1, 0, 22, 20, 3)
+                + struct.pack("<H", 4) + b"mask" + struct.pack("<H", 0))
+        mask = tmp_path / "empty.vvol"
+        mask.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+        assert main(["saliency", "--manifest", manifest_path, "--model",
+                     model_trio[0], "--mask", str(mask),
+                     "--out", str(tmp_path / "sal")]) == 3
+        assert "positive extents" in capsys.readouterr().err
+
+
+class TestTextFiles:
+    @pytest.mark.parametrize("site", ["generate --params",
+                                      "train --train-config",
+                                      "info --arch-config", "eval --manifest"])
+    def test_non_utf8_text_file(self, site, params_path, manifest_path,
+                                arch_path, train_cfg_path, model_trio,
+                                tmp_path, capsys):
+        """A text input holding a byte that is not UTF-8 is a data error
+        naming the file."""
+        good = {"generate --params": params_path,
+                "train --train-config": train_cfg_path,
+                "info --arch-config": arch_path,
+                "eval --manifest": manifest_path}[site]
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "wb") as f:
+            f.write(file_bytes(good) + b"\xff\n")
+        out = str(tmp_path / "out")
+        argv = {
+            "generate --params": ["generate", "--params", bad, "--out", out],
+            "train --train-config": ["train", "--manifest", manifest_path,
+                                     "--arch-config", arch_path,
+                                     "--train-config", bad, "--out", out],
+            "info --arch-config": ["info", "--arch-config", bad],
+            "eval --manifest": ["eval", "--manifest", bad,
+                                "--model", model_trio[0]],
+        }[site]
+        assert main(argv) == 3
+        assert f"{bad}: not UTF-8" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestInfo:

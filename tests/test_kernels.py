@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from voxcnn.errors import NumericError, ValidationError
+from voxcnn.errors import ValidationError
 from voxcnn.kernels import (
     ConvSpec,
     PoolSpec,
@@ -169,12 +169,6 @@ class TestConv3d:
         x = np.zeros((1, 5, 5, 5))
         with pytest.raises(ValidationError):
             conv3d(x, np.zeros((3, 2, 3, 3, 3)), np.zeros(3), spec)
-
-    def test_nan_input_rejected(self):
-        spec = ConvSpec(1, 1, (1, 1, 1))
-        x = np.full((1, 2, 2, 2), np.nan)
-        with pytest.raises(NumericError):
-            conv3d(x, np.ones((1, 1, 1, 1, 1)), np.zeros(1), spec)
 
     @settings(max_examples=25, deadline=None)
     @given(scale=st.floats(-3.0, 3.0, allow_nan=False), seed=st.integers(0, 2**16))

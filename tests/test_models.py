@@ -414,6 +414,33 @@ class TestForward:
         with pytest.raises(NumericError, match="conv2"):
             forward(model, x)
 
+    def test_nan_input_rejected(self):
+        """The model input is scanned once, before the first layer."""
+        model = micro_model("alexnet3d-micro")
+        x = np.zeros((3, 9, 9, 9))
+        x[1, 4, 4, 4] = np.nan
+        with pytest.raises(NumericError, match="model input"):
+            forward(model, x)
+
+    def test_nonfinite_inside_inception_names_child_layer(self):
+        """The walk runs every inception branch, so an inf weight of a branch
+        conv is reported under the child's name, not only the module's."""
+        model = micro_model("googlenet3d-micro")
+        model.params["inc3a.b3.w"][0, 0, 0, 0, 0] = np.inf
+        x = np.random.default_rng(8).random((3, 9, 9, 9))
+        with pytest.raises(NumericError, match=r"'inc3a\.b3'"):
+            forward(model, x)
+
+    def test_overflow_to_minus_inf_caught_at_conv(self):
+        """A -inf that the following ReLU would turn into 0 is caught at the
+        conv that produced it."""
+        model = micro_model("alexnet3d-micro")
+        model.params["conv2.w"][0] = -1e308
+        x = np.random.default_rng(9).random((3, 9, 9, 9))
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as info:
+            forward(model, x)
+        assert str(info.value) == "layer 'conv2': non-finite activations"
+
 
 class TestBackward:
     def test_gradient_keys_equal_param_keys(self):
@@ -584,6 +611,14 @@ class TestSaveLoad:
         blob[12] = 0xFF
         with pytest.raises(ValidationError, match="UTF-8"):
             load_model(bytes(blob))
+
+    def test_nonfinite_tensor_rejected(self):
+        """A NaN in the payload is refused where weights enter, naming the
+        tensor."""
+        model = micro_model("alexnet3d-micro")
+        model.params["conv3.w"][0, 0, 1, 1, 1] = np.nan
+        with pytest.raises(ValidationError, match="'conv3.w'.*non-finite"):
+            load_model(save_model(model))
 
     def test_version_mismatch_rejected(self):
         blob = bytearray(save_model(micro_model("alexnet3d-micro")))
