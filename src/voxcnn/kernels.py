@@ -6,12 +6,14 @@ output together with whatever the matching backward kernel needs (the
 "cache"); backward kernels return exact analytic gradients.  Computation is
 64-bit throughout; 32-bit is a storage format only (see voxcnn.volumes).
 
-conv3d contracts a sliding-window view of the padded input with the weights
-in one tensordot.  conv3d_backward instead loops over the kernel offsets and
-runs one GEMM per offset for the weight gradient and one for the input
-gradient, each over a contiguous column range of the stride phases of the
-padded input, so it copies no window tensor.  Its input_grad=False skips the
-input gradient, which a network's first layer in training never needs.
+conv3d splits the padded input into its stride phases once (_phase_split
+describes the layout) and caches them for conv3d_backward.  The forward runs
+one GEMM per depth offset against a panel of the in-plane shifts; the
+backward runs one GEMM per kernel offset for the weight gradient and one for
+the input gradient.  Every GEMM reads or writes a contiguous column range of
+a phase, so no per-voxel window tensor is copied.  conv3d_backward's
+input_grad=False skips the input gradient, which a network's first layer in
+training never needs.
 
 Kernels check shapes, not values: a NaN or inf passes through them.  The
 model's forward walk (voxcnn.models) scans each layer's output once, and
@@ -20,6 +22,7 @@ model files reject non-finite tensors when they are loaded.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,11 +134,65 @@ def _check_volume(x: np.ndarray, what: str = "input") -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _phase_windows(spatial, spec: ConvSpec):
+    """Yields (r, phase slices, input slices) for each stride phase r of
+    _phase_split's layout: the phase positions that hold input voxels, and
+    those input voxels.  Every input voxel lies in exactly one phase.
+    """
+    axes = []
+    for e, p, t in zip(spatial, spec.padding, spec.stride):
+        axis = []
+        for r in range(t):
+            # position a of phase r is input voxel t*a + r - p
+            first = -(-(p - r) // t)
+            xs = range(t * first + r - p, e, t)
+            axis.append((r, slice(first, first + len(xs)),
+                         slice(xs.start, e, t)))
+        axes.append(axis)
+    for (rd, ad, xd), (rh, ah, xh), (rw, aw, xw) in itertools.product(*axes):
+        yield (rd, rh, rw), (slice(None), ad, ah, aw), (slice(None), xd, xh, xw)
+
+
+def _phase_split(x, spec: ConvSpec):
+    """Zero-pads x and splits it into its stride phases.
+
+    Per axis, padded voxel s*a + r goes to position a of phase r, so kernel
+    offset s*a + r reads phase r from position a on with unit stride.  Zeros
+    round each padded extent up to a multiple of the stride, giving the phase
+    extents q = (Dq, Hq, Wq).  Returns (phases, q) with phases of shape
+    (sd, sh, sw, C_in, Dq*Hq*Wq); for stride 1 that is the padded input
+    itself.
+
+    conv3d and conv3d_backward both work on this layout.  Flattened, an
+    output voxel (a', b', c') sits at column p = (a'*Hq + b')*Wq + c' of a
+    (C_out, D'*Hq*Wq) grid whose columns with b' >= H' or c' >= W' are
+    padding, and kernel offset (i, j, k) = (sd*a + rd, sh*b + rj, sw*c + rk)
+    meets it at column p + o of phase (rd, rj, rk), o = (a*Hq + b)*Wq + c.
+    Each offset therefore touches the contiguous column range [o, o + n) of
+    one phase, with n the grid columns up to the last output voxel.
+    """
+    s = spec.stride
+    c_in, *spatial = x.shape
+    q = tuple(-(-(e + 2 * p) // t) for e, p, t in zip(spatial, spec.padding, s))
+    phases = np.zeros(s + (c_in,) + q)
+    for r, dst, src in _phase_windows(spatial, spec):
+        phases[r][dst] = x[src]
+    return phases.reshape(s + (c_in, -1)), q
+
+
 def conv3d(x, weights, bias, spec: ConvSpec):
     """3D cross-correlation with symmetric zero padding.
 
     x: (C_in, D, H, W); weights: (C_out, C_in, kd, kh, kw); bias: (C_out,).
-    Returns (output, cache) with output (C_out, D', H', W').
+    Returns (output, cache) with output (C_out, D', H', W'), C-contiguous.
+
+    For each depth phase rd, the kh*kw in-plane shifts of that phase are
+    stacked into one (kh*kw*C_in, m) panel; each depth offset i = sd*a + rd
+    is then one GEMM with K = kh*kw*C_in over panel columns
+    [a*Hq*Wq, a*Hq*Wq + n), accumulated into the output grid (see
+    _phase_split).  The cache is (phases, input shape, weights, spec,
+    output extents, q); bench/tracing.py reads the input shape (index 1) and
+    the spec (index 3).
     """
     x = _check_volume(x)
     weights = np.asarray(weights, dtype=np.float64)
@@ -155,13 +212,32 @@ def conv3d(x, weights, bias, spec: ConvSpec):
         )
 
     out_sp = spec.out_spatial(x.shape[1:])
-    pd, ph, pw = spec.padding
+    od, oh, ow = out_sp
+    c_out, c_in = spec.out_channels, spec.in_channels
+    kd, kh, kw = spec.kernel
     sd, sh, sw = spec.stride
-    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, spec.kernel, axis=(1, 2, 3))[:, ::sd, ::sh, ::sw]
-    out = np.tensordot(weights, win, axes=([1, 2, 3, 4], [0, 4, 5, 6]))
-    out += bias[:, None, None, None]
-    cache = (xp, x.shape, weights, spec, out_sp)
+    xf, q = _phase_split(x, spec)
+    _, qh, qw = q
+    plane = qh * qw
+    n = (od - 1) * plane + (oh - 1) * qw + ow
+
+    # (kd, C_out, kh*kw*C_in): depth slice i of the weights, rows in panel order
+    wt = np.ascontiguousarray(weights.transpose(2, 0, 3, 4, 1)).reshape(kd, c_out, -1)
+    grid = np.zeros((c_out, od * plane))
+    for rd in range(min(sd, kd)):
+        depths = range(rd, kd, sd)
+        m = (len(depths) - 1) * plane + n
+        panel = np.empty((kh, kw, c_in, m))
+        for j, k in np.ndindex(kh, kw):
+            (b, rj), (c, rk) = divmod(j, sh), divmod(k, sw)
+            o = b * qw + c
+            panel[j, k] = xf[rd, rj, rk, :, o : o + m]
+        panel = panel.reshape(-1, m)
+        for a, i in enumerate(depths):
+            grid[:, :n] += wt[i] @ panel[:, a * plane : a * plane + n]
+        del panel  # free it before the next depth phase's panel is built
+    out = grid.reshape(c_out, od, qh, qw)[:, :, :oh, :ow] + bias[:, None, None, None]
+    cache = (xf, x.shape, weights, spec, out_sp, q)
     return out, cache
 
 
@@ -170,18 +246,13 @@ def conv3d_backward(cache, grad_out, input_grad=True):
 
     One loop over the kernel offsets (i, j, k) runs one GEMM per offset for
     the weight gradient and, unless input_grad is False, one for the input
-    gradient; with input_grad False, grad_input is None.
-
-    The padded input is split into stride phases: per axis, padded voxel
-    s*a + r goes to position a of phase r, so offset i = s*a + r reads
-    phase r from position a on with unit stride.  For stride 1 there is one
-    phase, the padded input itself, and nothing is copied.  grad_out sits in
-    a zero (C_out, D', Hq, Wq) grid over the phase extents; flattened, output
-    column p then meets phase column p + o with o = (a*Hq + b)*Wq + c, so
-    each offset reads or accumulates the contiguous column range [o, o + n)
-    of the flattened phase, and the grid's zero columns contribute nothing.
+    gradient; with input_grad False, grad_input is None.  Both work on the
+    stride phases that conv3d cached (see _phase_split): grad_out sits in a
+    zero (C_out, D'*Hq*Wq) grid, so each offset reads or accumulates one
+    contiguous column range of a phase, and the grid's zero columns
+    contribute nothing.
     """
-    xp, x_shape, weights, spec, out_sp = cache
+    xf, x_shape, weights, spec, out_sp, q = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
     expected = (spec.out_channels,) + out_sp
     if grad_out.shape != expected:
@@ -194,14 +265,6 @@ def conv3d_backward(cache, grad_out, input_grad=True):
 
     grad_bias = grad_out.sum(axis=(1, 2, 3))
 
-    # (sd, sh, sw, C_in, Dq*Hq*Wq): zeros round the padded extents up to
-    # multiples of the stride, giving phase extents q
-    extra = [-e % t for e, t in zip(xp.shape[1:], s)]
-    xq = np.pad(xp, [(0, 0)] + [(0, r) for r in extra]) if any(extra) else xp
-    q = tuple((e + r) // t for e, r, t in zip(xp.shape[1:], extra, s))
-    xf = np.ascontiguousarray(
-        xq.reshape(c_in, q[0], s[0], q[1], s[1], q[2], s[2])
-        .transpose(2, 4, 6, 0, 1, 3, 5)).reshape(s + (c_in, -1))
     _, qh, qw = q
     n = (od - 1) * qh * qw + (oh - 1) * qw + ow
     grid = np.zeros((c_out, od, qh, qw))
@@ -222,12 +285,11 @@ def conv3d_backward(cache, grad_out, input_grad=True):
     if not input_grad:
         return None, grad_weights, grad_bias
 
-    grad_xp = (gxf.reshape(s + (c_in,) + q).transpose(3, 4, 0, 5, 1, 6, 2)
-               .reshape(xq.shape))
-    pd, ph, pw = spec.padding
-    _, d, h, w = x_shape
-    grad_x = grad_xp[:, pd : pd + d, ph : ph + h, pw : pw + w]
-    return np.ascontiguousarray(grad_x), grad_weights, grad_bias
+    gxf = gxf.reshape(s + (c_in,) + q)
+    grad_x = np.empty(x_shape)
+    for r, dst, src in _phase_windows(x_shape[1:], spec):
+        grad_x[src] = gxf[r][dst]
+    return grad_x, grad_weights, grad_bias
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Union
 
@@ -47,7 +48,7 @@ from .seeding import derive_seed
 
 CONFIG_FORMAT_VERSION = 1
 MODEL_MAGIC = b"V0XN"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +821,8 @@ def save_model(model: Model) -> bytes:
     magic "V0XN" | u32 format version | u32 config length | config JSON |
     u32 tensor count | directory (u16 name length, name, u8 ndim, u32 dims),
     sorted by tensor name | payload: float64 little-endian tensor data in
-    directory order.
+    directory order | u32 CRC-32 (zlib) of every preceding byte.  Version 1
+    is the same layout without the CRC; load_model still reads it.
     """
     out = bytearray()
     out += MODEL_MAGIC
@@ -839,6 +841,7 @@ def save_model(model: Model) -> bytes:
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
     for name in names:
         out += np.ascontiguousarray(model.params[name], dtype="<f8").tobytes()
+    out += struct.pack("<I", zlib.crc32(out))
     return bytes(out)
 
 
@@ -846,9 +849,10 @@ class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.end = len(data)
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        if self.pos + n > self.end:
             raise ValidationError("model file truncated")
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
@@ -869,8 +873,13 @@ def load_model(data: bytes) -> Model:
     if r.take(4) != MODEL_MAGIC:
         raise ValidationError("not a model file (bad magic)")
     (version,) = r.unpack("<I")
-    if version != MODEL_FORMAT_VERSION:
+    if version not in (1, MODEL_FORMAT_VERSION):
         raise ValidationError(f"unsupported model format version {version}")
+    if version == 2:
+        r.end -= 4
+        if r.end < r.pos or (zlib.crc32(memoryview(data)[:r.end])
+                             != int.from_bytes(data[r.end:], "little")):
+            raise ValidationError("model file checksum mismatch")
     (cfg_len,) = r.unpack("<I")
     config = config_from_json(r.text(cfg_len))
     layers = build_layers(config)
@@ -903,7 +912,7 @@ def load_model(data: bytes) -> Model:
             np.float64).reshape(shape)
         if not np.isfinite(params[name]).all():
             raise ValidationError(f"tensor {name!r} holds non-finite values")
-    if r.pos != len(data):
+    if r.pos != r.end:
         raise ValidationError("trailing bytes after model payload")
     return Model(config=config, layers=layers, params=params,
                  input_shape=tuple(config.input_shape),

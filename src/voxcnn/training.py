@@ -373,32 +373,32 @@ def train(model: Model, dataset, split_plan: SplitPlan, config: TrainConfig,
             iteration += 1
             grad_sum: dict = {}
             data_loss = 0.0
-            for idx in batch:
-                x, y = dataset.example(train_ids[idx])
-                try:
+            try:
+                for idx in batch:
+                    x, y = dataset.example(train_ids[idx])
                     _, cache = forward(model, x, mode="train", rng=dropout_rng,
                                        dropout_rate=config.dropout_rate)
                     grads, loss = model_backward(model, cache, y)
-                except NumericError as e:
-                    raise NumericError(f"iteration {iteration}: {e}") from e
-                data_loss += loss
-                for name, g in grads.items():
-                    if name in grad_sum:
-                        grad_sum[name] += g
-                    else:
-                        grad_sum[name] = g.copy()
-            scale = 1.0 / len(batch)
-            data_loss *= scale
-            for g in grad_sum.values():
-                g *= scale
-            penalty, contrib = l2_term(model.params, config.l2_lambda)
-            for name, c in contrib.items():
-                grad_sum[name] += c
-            total_loss = data_loss + penalty
-            if not math.isfinite(total_loss):
-                raise NumericError(f"iteration {iteration}: non-finite loss")
-            adam_step(model.params, grad_sum, state, lr,
-                      config.adam_beta1, config.adam_beta2, config.adam_eps)
+                    data_loss += loss
+                    for name, g in grads.items():
+                        if name in grad_sum:
+                            grad_sum[name] += g
+                        else:
+                            grad_sum[name] = g.copy()
+                scale = 1.0 / len(batch)
+                data_loss *= scale
+                for g in grad_sum.values():
+                    g *= scale
+                penalty, contrib = l2_term(model.params, config.l2_lambda)
+                for name, c in contrib.items():
+                    grad_sum[name] += c
+                total_loss = data_loss + penalty
+                if not math.isfinite(total_loss):
+                    raise NumericError("non-finite loss")
+                adam_step(model.params, grad_sum, state, lr,
+                          config.adam_beta1, config.adam_beta2, config.adam_eps)
+            except NumericError as e:
+                raise NumericError(f"iteration {iteration}: {e}") from e
             since_ckpt.append(total_loss)
             if iteration_hook is not None:
                 iteration_hook(iteration, epoch, total_loss)

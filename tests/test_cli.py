@@ -386,6 +386,7 @@ class TestEval:
         """A model file whose config bytes are not UTF-8 is a data error."""
         blob = bytearray(file_bytes(model_trio[0]))
         blob[12] = 0xFF
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
         bad = tmp_path / "bad.v0xn"
         bad.write_bytes(bytes(blob))
         assert main(["eval", "--manifest", manifest_path, "--model",
@@ -402,11 +403,23 @@ class TestEval:
         cfg["conv_widths"] = "abc"
         text = json.dumps(cfg).encode()
         bad = tmp_path / "typed.v0xn"
-        bad.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
-                        + blob[12 + cfg_len:])
+        body = (blob[:8] + struct.pack("<I", len(text)) + text
+                + blob[12 + cfg_len:-4])
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         assert main(["eval", "--manifest", manifest_path, "--model",
                      str(bad)]) == 3
         assert "conv_widths" in capsys.readouterr().err
+
+    def test_flipped_model_payload_byte(self, manifest_path, model_trio,
+                                        tmp_path, capsys):
+        """A model file with one flipped payload byte is a data error."""
+        blob = bytearray(file_bytes(model_trio[0]))
+        blob[-6] ^= 0x01
+        bad = tmp_path / "flipped.v0xn"
+        bad.write_bytes(bytes(blob))
+        assert main(["eval", "--manifest", manifest_path, "--model",
+                     str(bad)]) == 3
+        assert "checksum" in capsys.readouterr().err
 
     def test_non_utf8_volume_id(self, dataset_dir, model_trio, tmp_path,
                                 capsys):

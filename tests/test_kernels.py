@@ -1,5 +1,7 @@
 """Kernel-level checks against naive reference implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,24 @@ from oracles import (
 )
 
 
+# (C_in, C_out, input extents, kernel, stride, padding): unit and mixed
+# strides, non-cubic kernels, padded extents with Hp != Wp, one input
+# channel, 1x1x1 kernels, strides larger than the kernel, and padded extents
+# that are not multiples of the stride
+CONV_CASES = [
+    (1, 2, (5, 5, 5), (3, 3, 3), (1, 1, 1), (0, 0, 0)),
+    (2, 3, (6, 7, 5), (3, 3, 3), (1, 1, 1), (1, 1, 1)),
+    (3, 2, (5, 6, 4), (2, 3, 1), (1, 1, 1), (0, 2, 1)),
+    (3, 2, (8, 9, 7), (3, 2, 4), (2, 2, 1), (1, 0, 2)),
+    (2, 4, (9, 8, 9), (5, 5, 5), (2, 2, 2), (2, 2, 2)),
+    (2, 3, (5, 7, 6), (2, 3, 1), (1, 3, 2), (0, 1, 0)),
+    (4, 2, (4, 4, 4), (1, 1, 1), (1, 1, 1), (0, 0, 0)),
+    (1, 1, (7, 6, 5), (1, 1, 1), (2, 2, 2), (1, 1, 1)),
+    (3, 2, (6, 8, 7), (2, 3, 1), (3, 1, 2), (1, 1, 0)),
+    (2, 3, (7, 9, 8), (1, 2, 3), (3, 2, 2), (0, 1, 1)),
+]
+
+
 class TestOutExtents:
     def test_basic_formula(self):
         """floor((n + 2p - k)/s) + 1 on a hand-checked case."""
@@ -53,23 +73,17 @@ class TestOutExtents:
 
 class TestConv3d:
     def test_matches_loop_reference(self):
-        """Vectorised conv equals the seven-loop reference on random cases."""
-        rng = np.random.default_rng(11)
-        cases = [
-            dict(cin=1, cout=1, sp=(5, 5, 5), k=(3, 3, 3), s=(1, 1, 1), p=(0, 0, 0)),
-            dict(cin=2, cout=3, sp=(6, 7, 5), k=(3, 3, 3), s=(1, 1, 1), p=(1, 1, 1)),
-            dict(cin=3, cout=2, sp=(8, 9, 7), k=(3, 2, 4), s=(2, 2, 1), p=(1, 0, 2)),
-            dict(cin=2, cout=4, sp=(9, 8, 9), k=(5, 5, 5), s=(2, 2, 2), p=(2, 2, 2)),
-            dict(cin=4, cout=2, sp=(4, 4, 4), k=(1, 1, 1), s=(1, 1, 1), p=(0, 0, 0)),
-        ]
-        for c in cases:
-            x = rng.standard_normal((c["cin"],) + c["sp"])
-            w = rng.standard_normal((c["cout"], c["cin"]) + c["k"])
-            b = rng.standard_normal(c["cout"])
-            spec = ConvSpec(c["cin"], c["cout"], c["k"], c["s"], c["p"])
-            out, _ = conv3d(x, w, b, spec)
-            ref = conv3d_loops(x, w, b, c["s"], c["p"])
-            assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
+        """Vectorised conv equals the seven-loop reference on every case of
+        CONV_CASES, and its output is C-contiguous."""
+        for cin, cout, sp, k, s, p in CONV_CASES:
+            rng = np.random.default_rng(sum(sp) + 7 * cin)
+            x = rng.standard_normal((cin,) + sp)
+            w = rng.standard_normal((cout, cin) + k)
+            b = rng.standard_normal(cout)
+            out, _ = conv3d(x, w, b, ConvSpec(cin, cout, k, s, p))
+            assert out.flags["C_CONTIGUOUS"]
+            assert_allclose(out, conv3d_loops(x, w, b, s, p),
+                            rtol=1e-12, atol=1e-12)
 
     def test_unit_kernel_identity(self):
         """A 1x1x1 kernel with weight one and zero bias reproduces the input."""
@@ -123,20 +137,10 @@ class TestConv3d:
 
         assert relative_error(gx, numeric_gradient(loss_x, x)) < 1e-5
 
-    @pytest.mark.parametrize("cin, cout, sp, k, s, p", [
-        (1, 2, (5, 5, 5), (3, 3, 3), (1, 1, 1), (0, 0, 0)),
-        (2, 3, (6, 7, 5), (3, 3, 3), (1, 1, 1), (1, 1, 1)),
-        (3, 2, (5, 6, 4), (2, 3, 1), (1, 1, 1), (0, 2, 1)),
-        (3, 2, (8, 9, 7), (3, 2, 4), (2, 2, 1), (1, 0, 2)),
-        (2, 4, (9, 8, 9), (5, 5, 5), (2, 2, 2), (2, 2, 2)),
-        (2, 3, (5, 7, 6), (2, 3, 1), (1, 3, 2), (0, 1, 0)),
-        (4, 2, (4, 4, 4), (1, 1, 1), (1, 1, 1), (0, 0, 0)),
-        (1, 1, (7, 6, 5), (1, 1, 1), (2, 2, 2), (1, 1, 1)),
-    ])
+    @pytest.mark.parametrize("cin, cout, sp, k, s, p", CONV_CASES)
     def test_backward_matches_loop_reference(self, cin, cout, sp, k, s, p):
-        """Input, weight and bias gradients equal the loop reference for
-        unit and mixed strides, non-cubic kernels, padded extents with
-        Hp != Wp, one input channel and 1x1x1 kernels."""
+        """Input, weight and bias gradients equal the loop reference on every
+        case of CONV_CASES."""
         rng = np.random.default_rng(sum(sp) + 7 * cin)
         x = rng.standard_normal((cin,) + sp)
         w = rng.standard_normal((cout, cin) + k)
@@ -163,6 +167,28 @@ class TestConv3d:
             assert none is None
             assert_array_equal(gw2, gw)
             assert_array_equal(gb2, gb)
+
+    @pytest.mark.parametrize("spec, sp", [
+        (ConvSpec(8, 8, 3, 1, 1), (32, 40, 32)),
+        (ConvSpec(3, 8, 5, 2, 2), (32, 40, 32)),
+    ], ids=["vgg-toy-conv1_2", "alexnet-toy-stem"])
+    def test_peak_memory_below_window_copy(self, spec, sp):
+        """One call allocates less than a copy of the C_in*k^3 window of
+        every output voxel would take."""
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((spec.in_channels,) + sp)
+        w = rng.standard_normal((spec.out_channels, spec.in_channels)
+                                + spec.kernel)
+        b = np.zeros(spec.out_channels)
+        window = (spec.in_channels * np.prod(spec.kernel)
+                  * np.prod(spec.out_spatial(sp)) * 8)
+        tracemalloc.start()
+        try:
+            conv3d(x, w, b, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < window
 
     def test_shape_mismatch_rejected(self):
         spec = ConvSpec(2, 3, (3, 3, 3))

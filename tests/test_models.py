@@ -1,7 +1,12 @@
 """Tests for architecture builders, whole-model execution, and model files."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import voxcnn.models
@@ -39,6 +44,7 @@ from voxcnn.models import (
     save_model_file,
 )
 from voxcnn.presets import arch_preset
+from voxcnn.volumes import VolumeRecord, read_volume, write_volume
 
 # Sizing targets for the full-size networks at 3x157x189x156 input, and the
 # exact counts the default width tables produce.
@@ -609,6 +615,7 @@ class TestSaveLoad:
     def test_non_utf8_config_rejected(self):
         blob = bytearray(save_model(micro_model("alexnet3d-micro")))
         blob[12] = 0xFF
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
         with pytest.raises(ValidationError, match="UTF-8"):
             load_model(bytes(blob))
 
@@ -619,6 +626,41 @@ class TestSaveLoad:
         model.params["conv3.w"][0, 0, 1, 1, 1] = np.nan
         with pytest.raises(ValidationError, match="'conv3.w'.*non-finite"):
             load_model(save_model(model))
+
+    def test_version_1_still_loads(self):
+        """A version-1 file, the same layout without the CRC trailer, loads
+        to the same parameters."""
+        model = micro_model("alexnet3d-micro", seed=5)
+        blob = save_model(model)
+        v1 = blob[:4] + struct.pack("<I", 1) + blob[8:-4]
+        again = load_model(v1)
+        for k in model.params:
+            assert (again.params[k] == model.params[k]).all()
+        with pytest.raises(ValidationError, match="trailing"):
+            load_model(v1[:4] + struct.pack("<I", 1) + blob[8:])
+
+    @pytest.mark.parametrize("container", ["vvol", "v0xn"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_byte_flip_or_truncation_rejected(self, container, data):
+        """Every single-byte flip or truncation of a volume or a version-2
+        model file is a ValidationError."""
+        if container == "vvol":
+            rng = np.random.default_rng(1)
+            blob = write_volume(VolumeRecord(id="v1", label="AD",
+                                             data=rng.random((3, 4, 5, 6))))
+            read = read_volume
+        else:
+            blob, read = save_model(micro_model("alexnet3d-micro")), load_model
+        pos = data.draw(st.integers(0, len(blob) - 1), label="position")
+        if data.draw(st.booleans(), label="truncate"):
+            bad = blob[:pos]
+        else:
+            flipped = bytearray(blob)
+            flipped[pos] ^= data.draw(st.integers(1, 255), label="xor")
+            bad = bytes(flipped)
+        with pytest.raises(ValidationError):
+            read(bad)
 
     def test_version_mismatch_rejected(self):
         blob = bytearray(save_model(micro_model("alexnet3d-micro")))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import voxcnn.training
 from voxcnn.errors import NumericError, ValidationError
 from voxcnn.models import build_model, count_parameters
 from voxcnn.presets import arch_preset
@@ -391,6 +392,24 @@ class TestTrain:
         plan = SplitPlan(train_ids=("bad", "ok"), val_ids=(), test_ids=())
         with pytest.raises((NumericError, ValidationError),
                            match="iteration 1|finite"):
+            train(model, ds, plan, quick_config(epochs=1, batch_size=2))
+
+    def test_nonfinite_gradient_names_iteration(self, monkeypatch):
+        """A non-finite gradient found by adam_step names the iteration as
+        well as the tensor."""
+        real = voxcnn.training.model_backward
+
+        def poisoned(model, cache, true_class):
+            grads, loss = real(model, cache, true_class)
+            grads["conv3.w"][0, 0, 0, 0, 0] = np.nan
+            return grads, loss
+
+        monkeypatch.setattr(voxcnn.training, "model_backward", poisoned)
+        ds = micro_dataset()
+        model = build_model(arch_preset("alexnet3d-micro"))
+        plan = SplitPlan(train_ids=ds.ids[:2], val_ids=(), test_ids=())
+        with pytest.raises(NumericError, match=r"^iteration 1: non-finite "
+                                               r"gradient for 'conv3.w'$"):
             train(model, ds, plan, quick_config(epochs=1, batch_size=2))
 
     def test_loss_decreases_on_tiny_memorization(self):
