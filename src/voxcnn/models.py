@@ -875,7 +875,7 @@ def load_model(data: bytes) -> Model:
     (version,) = r.unpack("<I")
     if version not in (1, MODEL_FORMAT_VERSION):
         raise ValidationError(f"unsupported model format version {version}")
-    if version == 2:
+    if version == MODEL_FORMAT_VERSION:
         r.end -= 4
         if r.end < r.pos or (zlib.crc32(memoryview(data)[:r.end])
                              != int.from_bytes(data[r.end:], "little")):

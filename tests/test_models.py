@@ -567,6 +567,11 @@ class TestBackward:
             model_backward(m2, cache, 0)
 
 
+def _sealed(body: bytes) -> bytes:
+    """A version-2 model file: `body` plus the CRC-32 trailer over it."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 class TestSaveLoad:
     def test_round_trip_is_bit_exact(self):
         """save -> load -> save yields identical bytes and identical params."""
@@ -603,14 +608,14 @@ class TestSaveLoad:
             load_model(bytes(blob))
 
     def test_truncated_payload_rejected(self):
-        blob = save_model(micro_model("alexnet3d-micro"))
-        with pytest.raises(ValidationError):
-            load_model(blob[:-16])
+        body = save_model(micro_model("alexnet3d-micro"))[:-4]
+        with pytest.raises(ValidationError, match="truncated"):
+            load_model(_sealed(body[:-16]))
 
     def test_trailing_garbage_rejected(self):
-        blob = save_model(micro_model("alexnet3d-micro"))
-        with pytest.raises(ValidationError):
-            load_model(blob + b"\x00\x00")
+        body = save_model(micro_model("alexnet3d-micro"))[:-4]
+        with pytest.raises(ValidationError, match="trailing"):
+            load_model(_sealed(body + b"\x00\x00"))
 
     def test_non_utf8_config_rejected(self):
         blob = bytearray(save_model(micro_model("alexnet3d-micro")))
@@ -669,10 +674,10 @@ class TestSaveLoad:
             load_model(bytes(blob))
 
     def test_tampered_tensor_name_rejected(self):
-        """Renaming a tensor in the directory breaks shape validation."""
-        blob = save_model(micro_model("alexnet3d-micro"))
-        bad = blob.replace(b"conv1.w", b"convX.w", 1)
-        with pytest.raises(ValidationError):
+        """Renaming a tensor in the directory breaks directory validation."""
+        body = save_model(micro_model("alexnet3d-micro"))[:-4]
+        bad = _sealed(body.replace(b"conv1.w", b"convX.w", 1))
+        with pytest.raises(ValidationError, match="unexpected tensor"):
             load_model(bad)
 
     def test_save_is_deterministic(self):
