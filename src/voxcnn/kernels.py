@@ -15,6 +15,9 @@ a phase, so no per-voxel window tensor is copied.  conv3d_backward's
 input_grad=False skips the input gradient, which a network's first layer in
 training never needs.
 
+maxpool3d takes a separable max and recovers its argmax from output-sized
+candidates, so it copies no k^3 window either.
+
 Kernels check shapes, not values: a NaN or inf passes through them.  The
 model's forward walk (voxcnn.models) scans each layer's output once, and
 model files reject non-finite tensors when they are loaded.
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 
@@ -297,38 +299,97 @@ def conv3d_backward(cache, grad_out, input_grad=True):
 # ---------------------------------------------------------------------------
 
 
+def _running_max(taps):
+    """Elementwise max of equally shaped views, as a new C-contiguous array."""
+    out = np.maximum(taps[0], taps[1]) if len(taps) > 1 else taps[0].copy()
+    for t in taps[2:]:
+        np.maximum(out, t, out=out)
+    return out
+
+
+def _first_match(candidate, k, target):
+    """Per element, the first t < k whose candidate(t) equals target.
+
+    target is the max of the k candidates, so an element that misses the
+    first k - 1 matches the last one, which is therefore never built.  A
+    NaN candidate counts as a match: np.maximum propagates NaN, so NaN
+    candidates only meet NaN targets, and the first of them is the one
+    np.argmax would pick.
+    """
+    first = np.zeros(target.shape, dtype=np.intp)
+    miss = np.ones(target.shape, dtype=bool)
+    for t in range(k - 1):
+        c = candidate(t)
+        miss &= c != target
+        miss &= c == c
+        first += miss
+    return first
+
+
 def maxpool3d(x, spec: PoolSpec):
-    """Max pooling over 3D windows.
+    """Max pooling over 3D windows, as a separable max.
 
     Returns (output, argmax, cache); argmax holds, per output element, the
     flat index into the *unpadded* input of the chosen element (first
-    occurrence in row-major window order wins ties).  Padded positions never
-    participate in the max.
+    occurrence in row-major window order wins ties, and the first NaN wins
+    when the window holds one).  Padding is -inf, so it never beats a real
+    voxel.
+
+    The input is padded once, into rows rounded up to a multiple of the
+    width stride, so the width pass is one long strided max over the flat
+    buffer: a = max over the kw width taps.  Then b = max of a over the kh
+    height taps, and the output = max of b over the kd depth taps.  The
+    argmax is recovered in the same order from output-sized candidates: the
+    first depth tap whose b equals the output, at that depth the first row
+    tap whose a equals it, and in that row the first column of the padded
+    input that does.  That is the row-major first occurrence, and no
+    kd*kh*kw window is ever copied.
     """
     x = _check_volume(x)
     c, d, h, w = x.shape
-    out_sp = out_extents(x.shape[1:], spec.kernel, spec.stride, spec.padding,
-                         what="maxpool3d")
+    od, oh, ow = out_extents(x.shape[1:], spec.kernel, spec.stride, spec.padding,
+                             what="maxpool3d")
     kd, kh, kw = spec.kernel
     sd, sh, sw = spec.stride
     pd, ph, pw = spec.padding
 
-    xp = np.pad(x, ((0, 0), (pd, pd), (ph, ph), (pw, pw)),
-                constant_values=-np.inf)
-    win = sliding_window_view(xp, spec.kernel, axis=(1, 2, 3))[:, ::sd, ::sh, ::sw]
-    flat_win = win.reshape(win.shape[:4] + (kd * kh * kw,))
-    local = flat_win.argmax(axis=-1)
-    out = np.take_along_axis(flat_win, local[..., None], axis=-1)[..., 0]
+    # padded extents that the windows reach; a row of a holds wa columns
+    du, hu, wu = (od - 1) * sd + kd, (oh - 1) * sh + kh, (ow - 1) * sw + kw
+    wa = -(-wu // sw)
+    n = c * du * hu * wa
+    flat = np.full(n * sw + kw, -np.inf)
+    xp = flat[: n * sw].reshape(c, du, hu, wa * sw)
+    xp[..., :wu][:, pd : pd + d, ph : ph + h, pw : pw + w] = (
+        x[:, : du - pd, : hu - ph, : wu - pw])
 
-    li, lj, lk = np.unravel_index(local, (kd, kh, kw))
-    od, oh, ow = out_sp
-    zi = np.arange(od)[None, :, None, None] * sd - pd + li
-    yi = np.arange(oh)[None, None, :, None] * sh - ph + lj
-    xi = np.arange(ow)[None, None, None, :] * sw - pw + lk
+    # columns v >= ow of a span row ends; they are never read
+    a = _running_max([flat[k : k + n * sw : sw] for k in range(kw)])
+    a = a.reshape(c, du, hu, wa)
+    b = _running_max([a[:, :, j : j + (oh - 1) * sh + 1 : sh, :ow]
+                      for j in range(kh)])
+    depth_taps = [b[:, i : i + (od - 1) * sd + 1 : sd] for i in range(kd)]
+    out = _running_max(depth_taps)
+
+    di = _first_match(depth_taps.__getitem__, kd, out)
+    del depth_taps, b
     ci = np.arange(c)[:, None, None, None]
-    argmax = ((ci * d + zi) * h + yi) * w + xi
+    zi = np.arange(od)[:, None, None] * sd
+    yi = np.arange(oh)[:, None] * sh
+    ox = np.arange(ow)
+    # flat index into a of each window's first row at depth tap di
+    ia = ((ci * du + zi) * hu + yi) * wa + ox
+    ia += di * (hu * wa)
+    dj = _first_match(lambda j: a.take(ia + j * wa), kh, out)
+    del a
+    # flat index into xp of each window's first column in row dj
+    ia += dj * wa
+    ia *= sw
+    dk = _first_match(lambda k: flat.take(ia + k), kw, out)
+
+    argmax = ((ci * d + zi - pd) * h + yi - ph) * w + ox * sw - pw
+    argmax += (di * h + dj) * w + dk
     cache = (x.shape, argmax)
-    return np.ascontiguousarray(out), argmax, cache
+    return out, argmax, cache
 
 
 def maxpool3d_backward(cache, grad_out):

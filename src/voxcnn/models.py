@@ -823,6 +823,8 @@ def save_model(model: Model) -> bytes:
     sorted by tensor name | payload: float64 little-endian tensor data in
     directory order | u32 CRC-32 (zlib) of every preceding byte.  Version 1
     is the same layout without the CRC; load_model still reads it.
+
+    A non-finite tensor raises NumericError, as load_model would refuse it.
     """
     out = bytearray()
     out += MODEL_MAGIC
@@ -835,6 +837,8 @@ def save_model(model: Model) -> bytes:
     for name in names:
         nb = name.encode()
         arr = model.params[name]
+        if not np.isfinite(arr).all():
+            raise NumericError(f"tensor {name!r} holds non-finite values")
         out += struct.pack("<H", len(nb))
         out += nb
         out += struct.pack("<B", arr.ndim)

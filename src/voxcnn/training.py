@@ -41,6 +41,9 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be finite")
         if self.epochs < 0:
             raise ValidationError("epochs must be non-negative")
         if self.lr0 <= 0:

@@ -36,6 +36,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import struct
 import threading
@@ -88,8 +89,9 @@ def parse_key_values(text: str, types: dict, what: str) -> dict:
     """Typed values from `key = value` lines; '#' starts a comment.
 
     `types` maps each allowed key to int or float.  Unknown keys, lines
-    without '=' and values that do not parse as the key's type (an int key
-    rejects "32.7") raise ValidationError naming `what` and the line.
+    without '=', values that do not parse as the key's type (an int key
+    rejects "32.7") and non-finite floats ("nan", "inf") raise
+    ValidationError naming `what` and the line.
     """
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -107,6 +109,9 @@ def parse_key_values(text: str, types: dict, what: str) -> dict:
             raise ValidationError(
                 f"{what} line {lineno}: bad value {value!r} for {key}"
             ) from None
+        if not math.isfinite(values[key]):
+            raise ValidationError(
+                f"{what} line {lineno}: {key} must be finite, got {value!r}")
     return values
 
 
@@ -432,6 +437,9 @@ class PhantomParams:
                            tuple(float(x) for x in self.region_radii))
         object.__setattr__(self, "cavity_scales",
                            tuple(float(x) for x in self.cavity_scales))
+        for name in ("region_radii", "cavity_scales", "noise_amplitude", "jitter"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"phantom {name} must be finite")
         if len(self.extents) != 3 or min(self.extents) < 16:
             raise ValidationError(
                 "phantom extents must be 3 values of at least 16 voxels"

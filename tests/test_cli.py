@@ -75,6 +75,12 @@ def quick_train_config(**overrides):
     return TrainConfig(**base)
 
 
+def with_value(text, key, value):
+    """`key = value` text with the line for key replaced by the given value."""
+    lines = [l for l in text.splitlines() if not l.startswith(f"{key} =")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
 def file_bytes(path):
     with open(path, "rb") as f:
         return f.read()
@@ -217,6 +223,18 @@ class TestGenerate:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["noise_amplitude", "jitter"])
+    def test_nonfinite_params_value(self, tmp_path, capsys, key):
+        """A NaN phantom parameter is a validation failure naming its key,
+        and writes nothing."""
+        params = tmp_path / "p.txt"
+        params.write_text(with_value(tiny_params().to_text(), key, "nan"))
+        out = tmp_path / "d"
+        assert main(["generate", "--params", str(params),
+                     "--out", str(out)]) == 3
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override(self, params_path, tmp_path):
         """--seed replaces the seed stored in the parameter file."""
         out = tmp_path / "seeded"
@@ -272,6 +290,22 @@ class TestTrain:
         rows = (model_dir / "split.csv").read_text().strip().splitlines()[1:]
         exported = dict(row.split(",") for row in rows)
         assert exported == tagged
+
+    @pytest.mark.parametrize("key,value", [
+        ("lr0", "nan"), ("adam_eps", "nan"), ("l2_lambda", "inf"),
+    ])
+    def test_nonfinite_config_value(self, manifest_path, arch_path, tmp_path,
+                                    capsys, key, value):
+        """A NaN or infinite float in the training config is a validation
+        failure naming its key, before anything is written."""
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(with_value(quick_train_config().to_text(), key, value))
+        out = tmp_path / "run"
+        assert main(["train", "--manifest", manifest_path, "--arch-config",
+                     arch_path, "--train-config", str(cfg),
+                     "--out", str(out)]) == 3
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_extent_mismatch_leaves_no_output(self, manifest_path,
                                               train_cfg_path, tmp_path,
@@ -478,9 +512,13 @@ class TestEval:
         """A model file with a NaN weight is refused at load time, naming the
         tensor, before any forward pass."""
         model = build_model(tiny_arch(), seed=1)
-        model.params["conv3.w"][0, 0, 1, 1, 1] = np.nan
+        weight = struct.pack("<d", model.params["conv3.w"][0, 0, 1, 1, 1])
         bad = tmp_path / "nan.v0xn"
         save_model_file(model, str(bad))
+        body = bad.read_bytes()[:-4]
+        assert body.count(weight) == 1
+        body = body.replace(weight, struct.pack("<d", np.nan))
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         assert main(["eval", "--manifest", manifest_path, "--model",
                      str(bad)]) == 3
         assert "'conv3.w' holds non-finite values" in capsys.readouterr().err

@@ -267,6 +267,83 @@ class TestMaxPool3d:
         assert out.max() <= x.max()
         assert out.min() >= x.min()
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_tie_heavy_inputs_match_loop_reference(self, data):
+        """Integer-valued and ReLU-style inputs, full of ties, give the loop
+        oracle's output and first-occurrence argmax exactly, for kernels
+        1-3, strides 1-3 (also larger than the kernel) and padding below the
+        kernel.  The backward equals np.add.at over the oracle's argmax;
+        integer gradients keep the sums exact."""
+        k = data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="kernel")
+        s = data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="stride")
+        p = tuple(data.draw(st.integers(0, kk - 1), label="padding") for kk in k)
+        sp = tuple(data.draw(st.integers(max(1, kk - 2 * pp), 8), label="extent")
+                   for kk, pp in zip(k, p))
+        shape = (data.draw(st.integers(1, 2), label="channels"),) + sp
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        if data.draw(st.booleans(), label="relu"):
+            x = np.maximum(rng.standard_normal(shape), 0.0)
+        else:
+            x = rng.integers(-2, 3, shape).astype(np.float64)
+        out, argmax, cache = maxpool3d(x, PoolSpec(k, s, p))
+        ref_out, ref_arg = maxpool3d_loops(x, k, s, p)
+        assert_array_equal(out, ref_out)
+        assert_array_equal(argmax, ref_arg)
+        g = rng.integers(-3, 4, out.shape).astype(np.float64)
+        ref = np.zeros(x.size)
+        np.add.at(ref, ref_arg.ravel(), g.ravel())
+        assert_array_equal(maxpool3d_backward(cache, g), ref.reshape(x.shape))
+
+    @pytest.mark.parametrize("spec", [
+        PoolSpec(3, 2, 1),
+        PoolSpec(3, 1, 1),
+        PoolSpec((2, 3, 1), (3, 1, 2), (1, 2, 0)),
+    ])
+    def test_nan_window_takes_first_nan(self, spec):
+        """A window holding NaN outputs NaN, and its argmax names the
+        window's first NaN in row-major order, a real voxel; other windows
+        match the loop oracle."""
+        rng = np.random.default_rng(3)
+        x = rng.integers(-2, 3, (2, 7, 6, 5)).astype(np.float64)
+        x[rng.random(x.shape) < 0.08] = np.nan
+        out, argmax, _ = maxpool3d(x, spec)
+        ref_out, ref_arg = maxpool3d_loops(x, spec.kernel, spec.stride,
+                                           spec.padding)
+        assert argmax.min() >= 0 and argmax.max() < x.size
+        for at in np.ndindex(out.shape):
+            corner = [o * t - q for o, t, q in
+                      zip(at[1:], spec.stride, spec.padding)]
+            window = []
+            for offset in np.ndindex(spec.kernel):
+                pos = tuple(c + o for c, o in zip(corner, offset))
+                if all(0 <= v < e for v, e in zip(pos, x.shape[1:])):
+                    window.append(np.ravel_multi_index((at[0],) + pos, x.shape))
+            nans = [f for f in window if np.isnan(x.flat[f])]
+            if nans:
+                assert np.isnan(out[at]) and argmax[at] == nans[0]
+            else:
+                assert out[at] == ref_out[at] and argmax[at] == ref_arg[at]
+        assert np.isnan(out).any() and not np.isnan(out).all()
+
+    @pytest.mark.parametrize("shape,stride", [
+        ((16, 8, 10, 8), 1),    # an inception pool
+        ((8, 32, 40, 32), 2),   # vgg16-3d-toy pool1
+    ])
+    def test_peak_memory_below_window_copy(self, shape, stride):
+        """One call peaks below the k^3*|output|*8 bytes that a copy of every
+        pooling window would take."""
+        x = np.maximum(np.random.default_rng(7).standard_normal(shape), 0.0)
+        spec = PoolSpec(3, stride, 1)
+        window = 27 * shape[0] * np.prod(spec.out_spatial(shape[1:])) * 8
+        tracemalloc.start()
+        try:
+            maxpool3d(x, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < window
+
 
 class TestDense:
     def test_matches_loop_reference(self):

@@ -628,9 +628,24 @@ class TestSaveLoad:
         """A NaN in the payload is refused where weights enter, naming the
         tensor."""
         model = micro_model("alexnet3d-micro")
-        model.params["conv3.w"][0, 0, 1, 1, 1] = np.nan
+        weight = struct.pack("<d", model.params["conv3.w"][0, 0, 1, 1, 1])
+        body = save_model(model)[:-4]
+        assert body.count(weight) == 1
+        body = body.replace(weight, struct.pack("<d", np.nan))
         with pytest.raises(ValidationError, match="'conv3.w'.*non-finite"):
-            load_model(save_model(model))
+            load_model(_sealed(body))
+
+    def test_save_refuses_nonfinite_tensor(self, tmp_path):
+        """No code path writes a model file that load_model refuses: a NaN
+        tensor raises NumericError naming it, and save_model_file leaves no
+        file and no temporary behind."""
+        model = micro_model("alexnet3d-micro")
+        model.params["conv3.w"][0, 0, 1, 1, 1] = np.nan
+        with pytest.raises(NumericError, match="'conv3.w'.*non-finite"):
+            save_model(model)
+        with pytest.raises(NumericError, match="'conv3.w'"):
+            save_model_file(model, str(tmp_path / "nan.v0xn"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_version_1_still_loads(self):
         """A version-1 file, the same layout without the CRC trailer, loads

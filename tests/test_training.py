@@ -85,6 +85,16 @@ class TestTrainConfig:
             with pytest.raises(ValidationError):
                 TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("key", ["lr0", "adam_eps", "l2_lambda"])
+    def test_nonfinite_float_rejected(self, key):
+        """NaN and inf are refused, also where a range check alone would
+        let NaN through (`lr0 <= 0` is false for NaN)."""
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match=key):
+                TrainConfig(**{key: value})
+        with pytest.raises(ValidationError, match=f"line 2: {key}"):
+            TrainConfig.from_text(f"epochs = 3\n{key} = nan\n")
+
 
 class TestSplitDataset:
     def test_full_size_split_counts(self):

@@ -294,6 +294,21 @@ class TestPhantomParams:
         with pytest.raises(ValidationError, match="too small"):
             PhantomParams(extents=(16, 16, 16))  # default radii too big
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(noise_amplitude=float("nan")), "noise_amplitude"),
+        (dict(jitter=float("nan")), "jitter"),
+        (dict(cavity_scales=(float("inf"), 1.01, 1.0)), "cavity_scales"),
+        (dict(region_radii=(3.6, 3.8, float("inf"))), "region_radii"),
+    ])
+    def test_nonfinite_value_rejected(self, kwargs, name):
+        with pytest.raises(ValidationError, match=name):
+            PhantomParams(**kwargs)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_nonfinite_text_value_names_line(self, value):
+        with pytest.raises(ValidationError, match="line 2: jitter must be finite"):
+            PhantomParams.from_text(f"seed = 1\njitter = {value}\n")
+
 
 class TestPhantomSamples:
     def test_same_rng_stream_reproduces(self):
