@@ -11,7 +11,8 @@ describes the layout) and caches them for conv3d_backward.  The forward runs
 one GEMM per depth offset against a panel of the in-plane shifts; the
 backward runs one GEMM per kernel offset for the weight gradient and one for
 the input gradient.  Every GEMM reads or writes a contiguous column range of
-a phase, so no per-voxel window tensor is copied.  conv3d_backward's
+a phase, so no per-voxel window tensor is copied, and both kernels run their
+offsets inside L2-sized column blocks (_column_blocks).  conv3d_backward's
 input_grad=False skips the input gradient, which a network's first layer in
 training never needs.
 
@@ -182,6 +183,33 @@ def _phase_split(x, spec: ConvSpec):
     return phases.reshape(s + (c_in, -1)), q
 
 
+# Values (float64, 1 MiB) that one column block of the conv GEMMs keeps in
+# L2: half of the 2 MiB per-core L2 of the Xeon the kernels were tuned on.
+# On vgg16-3d-toy's backward (one BLAS thread) twice this budget took 40 ms
+# per sample against 29, and half of it was no faster.  Blocks are never
+# narrower than _MIN_COLUMNS: googlenet3d-toy's convs of about 6,300 columns,
+# split into 2-4 narrower blocks, ran up to 20% slower than in one.  Both are
+# constants, not options: the width changes speed, and the results only in
+# the order of the sums across blocks.
+_BLOCK_VALUES = 131_072
+_MIN_COLUMNS = 8192
+
+
+def _column_blocks(n, rows):
+    """[c0, c1) blocks of n grid columns, each at most _BLOCK_VALUES values
+    across the `rows` rows of the block-wide arrays that every kernel offset
+    of a block reuses, or _MIN_COLUMNS columns if that is wider.
+
+    conv3d and conv3d_backward run their kernel-offset loop inside each
+    block, so those arrays (the output or upstream-gradient block, and the
+    GEMM result that is added to it) stay in L2 across the offsets, instead
+    of every offset streaming all n columns from memory again.  The panel
+    and phase columns that each offset reads once are not counted.
+    """
+    width = max(_MIN_COLUMNS, _BLOCK_VALUES // rows)
+    return [(c0, min(c0 + width, n)) for c0 in range(0, n, width)]
+
+
 def conv3d(x, weights, bias, spec: ConvSpec):
     """3D cross-correlation with symmetric zero padding.
 
@@ -192,9 +220,9 @@ def conv3d(x, weights, bias, spec: ConvSpec):
     stacked into one (kh*kw*C_in, m) panel; each depth offset i = sd*a + rd
     is then one GEMM with K = kh*kw*C_in over panel columns
     [a*Hq*Wq, a*Hq*Wq + n), accumulated into the output grid (see
-    _phase_split).  The cache is (phases, input shape, weights, spec,
-    output extents, q); bench/tracing.py reads the input shape (index 1) and
-    the spec (index 3).
+    _phase_split) block by block (see _column_blocks).  The cache is
+    (phases, input shape, weights, spec, output extents, q);
+    bench/tracing.py reads the input shape (index 1) and the spec (index 3).
     """
     x = _check_volume(x)
     weights = np.asarray(weights, dtype=np.float64)
@@ -226,6 +254,7 @@ def conv3d(x, weights, bias, spec: ConvSpec):
     # (kd, C_out, kh*kw*C_in): depth slice i of the weights, rows in panel order
     wt = np.ascontiguousarray(weights.transpose(2, 0, 3, 4, 1)).reshape(kd, c_out, -1)
     grid = np.zeros((c_out, od * plane))
+    blocks = _column_blocks(n, 2 * c_out)  # a grid block and its GEMM product
     for rd in range(min(sd, kd)):
         depths = range(rd, kd, sd)
         m = (len(depths) - 1) * plane + n
@@ -235,8 +264,10 @@ def conv3d(x, weights, bias, spec: ConvSpec):
             o = b * qw + c
             panel[j, k] = xf[rd, rj, rk, :, o : o + m]
         panel = panel.reshape(-1, m)
-        for a, i in enumerate(depths):
-            grid[:, :n] += wt[i] @ panel[:, a * plane : a * plane + n]
+        for c0, c1 in blocks:
+            for a, i in enumerate(depths):
+                o = a * plane
+                grid[:, c0:c1] += wt[i] @ panel[:, o + c0 : o + c1]
         del panel  # free it before the next depth phase's panel is built
     out = grid.reshape(c_out, od, qh, qw)[:, :, :oh, :ow] + bias[:, None, None, None]
     cache = (xf, x.shape, weights, spec, out_sp, q)
@@ -246,13 +277,14 @@ def conv3d(x, weights, bias, spec: ConvSpec):
 def conv3d_backward(cache, grad_out, input_grad=True):
     """Gradients of conv3d: returns (grad_input, grad_weights, grad_bias).
 
-    One loop over the kernel offsets (i, j, k) runs one GEMM per offset for
-    the weight gradient and, unless input_grad is False, one for the input
-    gradient; with input_grad False, grad_input is None.  Both work on the
-    stride phases that conv3d cached (see _phase_split): grad_out sits in a
-    zero (C_out, D'*Hq*Wq) grid, so each offset reads or accumulates one
-    contiguous column range of a phase, and the grid's zero columns
-    contribute nothing.
+    Inside each column block (see _column_blocks), one loop over the kernel
+    offsets (i, j, k) runs one GEMM per offset for the weight gradient and,
+    unless input_grad is False, one for the input gradient; with input_grad
+    False, grad_input is None.  Both work on the stride phases that conv3d
+    cached (see _phase_split): grad_out sits in a zero (C_out, D'*Hq*Wq)
+    grid, so each offset reads or accumulates one contiguous column range of
+    a phase, and the grid's zero columns contribute nothing.  The first
+    block assigns each offset's weight gradient and later blocks add to it.
     """
     xf, x_shape, weights, spec, out_sp, q = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -277,12 +309,24 @@ def conv3d_backward(cache, grad_out, input_grad=True):
     wt = np.ascontiguousarray(weights.transpose(2, 3, 4, 1, 0))
     gw = np.empty(spec.kernel + (c_out, c_in))
     gxf = np.zeros_like(xf) if input_grad else None
+    taps = []  # per kernel offset (i, j, k): its phase and its column shift
     for i, j, k in np.ndindex(*spec.kernel):
         (a, ri), (b, rj), (c, rk) = divmod(i, s[0]), divmod(j, s[1]), divmod(k, s[2])
-        o = (a * qh + b) * qw + c
-        gw[i, j, k] = gf @ xf[ri, rj, rk, :, o : o + n].T
-        if input_grad:
-            gxf[ri, rj, rk, :, o : o + n] += wt[i, j, k] @ gf
+        taps.append(((i, j, k), (ri, rj, rk), (a * qh + b) * qw + c))
+    blocks = _column_blocks(n, c_out + c_in)  # a gradient block and t
+    buf = np.empty(c_in * (blocks[0][1] - blocks[0][0]))
+    for c0, c1 in blocks:
+        g = gf[:, c0:c1]
+        t = buf[: c_in * (c1 - c0)].reshape(c_in, -1)
+        for f, r, o in taps:
+            xb = xf[r][:, o + c0 : o + c1]
+            if c0 == 0:
+                gw[f] = g @ xb.T
+            else:
+                gw[f] += g @ xb.T
+            if input_grad:
+                np.matmul(wt[f], g, out=t)
+                gxf[r][:, o + c0 : o + c1] += t
     grad_weights = np.ascontiguousarray(gw.transpose(3, 4, 0, 1, 2))
     if not input_grad:
         return None, grad_weights, grad_bias
@@ -333,6 +377,7 @@ def maxpool3d(x, spec: PoolSpec):
     flat index into the *unpadded* input of the chosen element (first
     occurrence in row-major window order wins ties, and the first NaN wins
     when the window holds one).  Padding is -inf, so it never beats a real
+    voxel, and a window whose real voxels are all -inf names its first real
     voxel.
 
     The input is padded once, into rows rounded up to a multiple of the
@@ -370,21 +415,25 @@ def maxpool3d(x, spec: PoolSpec):
     depth_taps = [b[:, i : i + (od - 1) * sd + 1 : sd] for i in range(kd)]
     out = _running_max(depth_taps)
 
-    di = _first_match(depth_taps.__getitem__, kd, out)
-    del depth_taps, b
     ci = np.arange(c)[:, None, None, None]
     zi = np.arange(od)[:, None, None] * sd
     yi = np.arange(oh)[:, None] * sh
     ox = np.arange(ow)
+    # A window whose real voxels are all -inf matches its -inf padding
+    # first, so each step is clamped to the window's first real position;
+    # anywhere else the matched tap is already real and the clamp is a no-op.
+    di = np.maximum(_first_match(depth_taps.__getitem__, kd, out), pd - zi)
+    del depth_taps, b
     # flat index into a of each window's first row at depth tap di
     ia = ((ci * du + zi) * hu + yi) * wa + ox
     ia += di * (hu * wa)
-    dj = _first_match(lambda j: a.take(ia + j * wa), kh, out)
+    dj = np.maximum(_first_match(lambda j: a.take(ia + j * wa), kh, out), ph - yi)
     del a
     # flat index into xp of each window's first column in row dj
     ia += dj * wa
     ia *= sw
-    dk = _first_match(lambda k: flat.take(ia + k), kw, out)
+    dk = np.maximum(_first_match(lambda k: flat.take(ia + k), kw, out),
+                    pw - ox * sw)
 
     argmax = ((ci * d + zi - pd) * h + yi - ph) * w + ox * sw - pw
     argmax += (di * h + dj) * w + dk

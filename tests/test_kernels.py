@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from voxcnn import kernels
 from voxcnn.errors import ValidationError
 from voxcnn.kernels import (
     ConvSpec,
@@ -55,6 +56,24 @@ CONV_CASES = [
     (3, 2, (6, 8, 7), (2, 3, 1), (3, 1, 2), (1, 1, 0)),
     (2, 3, (7, 9, 8), (1, 2, 3), (3, 2, 2), (0, 1, 1)),
 ]
+
+
+def shrink_blocks(monkeypatch):
+    """Makes every conv GEMM run in column blocks of (n - 1) // 3 of its n
+    columns, through the real block helper with a shrunken budget and no
+    minimum width: at least three blocks, the last one partial.  Returns the
+    list of every call's blocks."""
+    real = kernels._column_blocks
+    seen = []
+    monkeypatch.setattr(kernels, "_MIN_COLUMNS", 1)
+
+    def blocks(n, rows):
+        monkeypatch.setattr(kernels, "_BLOCK_VALUES", (n - 1) // 3 * rows)
+        seen.append(real(n, rows))
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "_column_blocks", blocks)
+    return seen
 
 
 class TestOutExtents:
@@ -151,22 +170,51 @@ class TestConv3d:
                             conv3d_backward_loops(x, w, g, s, p)):
             assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
-    def test_backward_without_input_gradient(self):
+    @pytest.mark.parametrize("cin, cout, sp, k, s, p", CONV_CASES)
+    def test_multi_block_matches_loop_reference(self, monkeypatch,
+                                                cin, cout, sp, k, s, p):
+        """With the column blocks shrunk to at least three per GEMM, the
+        last one partial, forward and backward still equal the loop
+        references on every case of CONV_CASES: each block reads and writes
+        its own column range, and the weight gradient adds up across
+        blocks."""
+        seen = shrink_blocks(monkeypatch)
+        rng = np.random.default_rng(sum(sp) + 7 * cin)
+        x = rng.standard_normal((cin,) + sp)
+        w = rng.standard_normal((cout, cin) + k)
+        b = rng.standard_normal(cout)
+        out, cache = conv3d(x, w, b, ConvSpec(cin, cout, k, s, p))
+        assert_allclose(out, conv3d_loops(x, w, b, s, p), rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal(out.shape)
+        for got, ref in zip(conv3d_backward(cache, g),
+                            conv3d_backward_loops(x, w, g, s, p)):
+            assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        assert len(seen) == 2
+        for blocks in seen:
+            assert len(blocks) >= 3
+            assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+
+    def test_backward_without_input_gradient(self, monkeypatch):
         """input_grad=False returns None for the input gradient and the same
-        weight and bias gradients, bit for bit."""
+        weight and bias gradients, bit for bit, at the real block budget and
+        over several column blocks."""
         rng = np.random.default_rng(37)
-        for spec in (ConvSpec(2, 3, (3, 3, 3), 1, 1),
-                     ConvSpec(3, 2, (5, 5, 5), 2, 2)):
-            x = rng.standard_normal((spec.in_channels, 9, 8, 7))
-            w = rng.standard_normal((spec.out_channels, spec.in_channels)
-                                    + spec.kernel)
-            out, cache = conv3d(x, w, np.zeros(spec.out_channels), spec)
-            g = rng.standard_normal(out.shape)
-            _, gw, gb = conv3d_backward(cache, g)
-            none, gw2, gb2 = conv3d_backward(cache, g, input_grad=False)
-            assert none is None
-            assert_array_equal(gw2, gw)
-            assert_array_equal(gb2, gb)
+        for shrunk in (False, True):
+            with monkeypatch.context() as mp:
+                if shrunk:
+                    shrink_blocks(mp)
+                for spec in (ConvSpec(2, 3, (3, 3, 3), 1, 1),
+                             ConvSpec(3, 2, (5, 5, 5), 2, 2)):
+                    x = rng.standard_normal((spec.in_channels, 9, 8, 7))
+                    w = rng.standard_normal((spec.out_channels, spec.in_channels)
+                                            + spec.kernel)
+                    out, cache = conv3d(x, w, np.zeros(spec.out_channels), spec)
+                    g = rng.standard_normal(out.shape)
+                    _, gw, gb = conv3d_backward(cache, g)
+                    none, gw2, gb2 = conv3d_backward(cache, g, input_grad=False)
+                    assert none is None
+                    assert_array_equal(gw2, gw)
+                    assert_array_equal(gb2, gb)
 
     @pytest.mark.parametrize("spec, sp", [
         (ConvSpec(8, 8, 3, 1, 1), (32, 40, 32)),
@@ -325,6 +373,33 @@ class TestMaxPool3d:
             else:
                 assert out[at] == ref_out[at] and argmax[at] == ref_arg[at]
         assert np.isnan(out).any() and not np.isnan(out).all()
+
+    @pytest.mark.parametrize("spec", [
+        PoolSpec(2, 1, 1),
+        PoolSpec(3, 2, 1),
+        PoolSpec((2, 3, 2), (1, 2, 3), (1, 2, 1)),
+    ])
+    def test_all_minus_inf_window_names_first_real_voxel(self, spec):
+        """A window whose real voxels are all -inf names its first real
+        voxel in row-major order, never a padded position, and the backward
+        routes each gradient there."""
+        x = np.full((2, 3, 4, 3), -np.inf)
+        x[1, 2, 3, 2] = 1.0
+        out, argmax, cache = maxpool3d(x, spec)
+        ref_out, _ = maxpool3d_loops(x, spec.kernel, spec.stride, spec.padding)
+        assert_array_equal(out, ref_out)
+        for at in np.ndindex(out.shape):
+            first = [max(o * t - q, 0) for o, t, q in
+                     zip(at[1:], spec.stride, spec.padding)]
+            if out[at] == -np.inf:
+                assert argmax[at] == np.ravel_multi_index([at[0]] + first,
+                                                          x.shape)
+        assert_array_equal(x.flat[argmax], out)
+        g = np.ones(out.shape)
+        ref = np.zeros(x.size)
+        np.add.at(ref, argmax.ravel(), g.ravel())
+        assert_array_equal(maxpool3d_backward(cache, g), ref.reshape(x.shape))
+        assert argmax.min() >= 0 and argmax.max() < x.size
 
     @pytest.mark.parametrize("shape,stride", [
         ((16, 8, 10, 8), 1),    # an inception pool

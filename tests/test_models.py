@@ -412,6 +412,8 @@ class TestForward:
         with pytest.raises(ValidationError, match="mode"):
             forward(model, np.zeros((3, 9, 9, 9)), mode="test")
 
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_nonfinite_activation_names_layer(self):
         """Poisoned weights surface as a numeric failure naming the layer."""
         model = micro_model("alexnet3d-micro")
@@ -428,6 +430,8 @@ class TestForward:
         with pytest.raises(NumericError, match="model input"):
             forward(model, x)
 
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_nonfinite_inside_inception_names_child_layer(self):
         """The walk runs every inception branch, so an inf weight of a branch
         conv is reported under the child's name, not only the module's."""
