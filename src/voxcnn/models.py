@@ -2,16 +2,19 @@
 
 Three architectures are provided: an AlexNet-style stack (5 conv + 3 dense),
 a VGG16-style stack (13 conv + 3 dense), and a GoogleNet-style network built
-from inception modules with a single classification head.  A model is an
-ordered layer list plus a flat named parameter store; execution walks the
-list forward (recording per-layer caches) and backward (producing a gradient
-for every parameter and for the input).
+from inception modules with a single classification head.  A model is its
+architecture config (which fixes its input shape and class count), the
+ordered layer list built from it, and a flat named parameter store;
+execution walks the list forward (recording per-layer caches) and backward
+(producing a gradient for every parameter and for the input).
 
 Each layer class owns its kind: `out_shape`, `param_shapes`, `forward(x,
 params, run)`, `backward(cache, g, grads)` and `convs(shape)`; shape walks,
 parameter tables, execution and op counts are loops over those methods.  An
 inception module is a composite of four branches of plain child layers named
-"<module>.<tag>".  Layers call kernels by their module-global name at call
+"<module>.<tag>".  A config holds the architecture only: the dropout rate is
+part of the training recipe and reaches the dropout layers through the
+forward call.  Layers call kernels by their module-global name at call
 time, so a wrapper set on e.g. `voxcnn.models.conv3d` sees every call.
 """
 
@@ -46,7 +49,7 @@ from .kernels import (
 )
 from .seeding import derive_seed
 
-CONFIG_FORMAT_VERSION = 1
+CONFIG_FORMAT_VERSION = 2
 MODEL_MAGIC = b"V0XN"
 MODEL_FORMAT_VERSION = 2
 
@@ -59,11 +62,11 @@ MODEL_FORMAT_VERSION = 2
 @dataclass
 class Run:
     """Per-call state a layer forward may read: the forward mode, the dropout
-    generator (train mode only) and an optional override of dropout rates."""
+    generator (train mode only) and the rate of every dropout layer."""
 
     mode: str
     gen: np.random.Generator | None
-    dropout_rate: float | None
+    dropout_rate: float
 
 
 @dataclass(frozen=True)
@@ -164,11 +167,9 @@ class ReluLayer(Layer):
 @dataclass(frozen=True)
 class DropoutLayer(Layer):
     kind: ClassVar[str] = "dropout"
-    rate: float
 
     def forward(self, x, params, run):
-        rate = self.rate if run.dropout_rate is None else run.dropout_rate
-        return dropout(x, rate, run.mode, run.gen)
+        return dropout(x, run.dropout_rate, run.mode, run.gen)
 
     def backward(self, cache, g, grads, input_grad=True):
         return dropout_backward(cache, g)
@@ -370,7 +371,6 @@ class AlexNetConfig:
     stem_padding: int = 3
     mid_kernel: int = 5
     pool_padding: int = 0
-    dropout_rate: float = 0.5
     class_count: int = 3
 
     def __post_init__(self):
@@ -394,7 +394,6 @@ class VggConfig:
     block_widths: tuple = (64, 128, 256, 512, 512)
     dense_widths: tuple = (32, 32)
     pool_padding: int = 1
-    dropout_rate: float = 0.5
     class_count: int = 3
 
     def __post_init__(self):
@@ -426,7 +425,6 @@ class GoogleNetConfig:
          (220, 136, 274, 28, 112, 112)),
         ((220, 136, 274, 28, 112, 112), (328, 164, 328, 40, 112, 112)),
     )
-    dropout_rate: float = 0.5
     class_count: int = 3
 
     def __post_init__(self):
@@ -466,8 +464,6 @@ def _validate_common(cfg) -> None:
         )
     if min(shape[1:]) < 1:
         raise ValidationError(f"input extents must be positive, got {shape}")
-    if not 0.0 <= cfg.dropout_rate < 1.0:
-        raise ValidationError(f"dropout rate must be in [0, 1), got {cfg.dropout_rate}")
     if cfg.class_count < 2:
         raise ValidationError("class count must be at least 2")
     for f in fields(cfg):
@@ -512,10 +508,13 @@ def config_from_dict(d: dict) -> ArchConfig:
     if arch not in _CONFIG_CLASSES:
         raise ValidationError(f"unknown architecture {arch!r}")
     version = d.get("format_version", CONFIG_FORMAT_VERSION)
-    if version != CONFIG_FORMAT_VERSION:
+    if version not in (1, CONFIG_FORMAT_VERSION):
         raise ValidationError(f"unsupported config format version {version}")
     cls = _CONFIG_CLASSES[arch]
     defaults = {f.name: f.default for f in fields(cls)}
+    if version == 1:
+        # version 1 also held a dropout rate, which never reached training
+        defaults["dropout_rate"] = 0.5
     kwargs = {}
     for k, v in d.items():
         if k in ("architecture", "format_version"):
@@ -524,6 +523,7 @@ def config_from_dict(d: dict) -> ArchConfig:
             raise ValidationError(f"unknown config field {k!r} for {arch}")
         _check_like(v, defaults[k], f"config field {k!r}")
         kwargs[k] = v
+    kwargs.pop("dropout_rate", None)
     return cls(**kwargs)
 
 
@@ -550,24 +550,18 @@ class Model:
     config: ArchConfig
     layers: tuple
     params: dict
-    input_shape: tuple
-    class_count: int
 
     @property
     def architecture(self) -> str:
         return self.config.architecture
 
+    @property
+    def input_shape(self) -> tuple:
+        return self.config.input_shape
 
-def _validate_layers(layers) -> None:
-    names = [l.name for l in layers]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise ValidationError(f"duplicate layer name {dup!r}")
-    seen_flatten = False
-    for l in layers:
-        seen_flatten = seen_flatten or l.kind == "flatten"
-        if l.kind == "dense" and not seen_flatten:
-            raise ValidationError(f"dense layer {l.name!r} appears before flatten")
+    @property
+    def class_count(self) -> int:
+        return self.config.class_count
 
 
 def infer_shapes(layers, input_shape) -> list:
@@ -614,10 +608,10 @@ def _dense_head(layers, config) -> list:
     return layers + [
         DenseLayer("fc1", feat, dw[0]),
         ReluLayer("relu_fc1"),
-        DropoutLayer("drop1", config.dropout_rate),
+        DropoutLayer("drop1"),
         DenseLayer("fc2", dw[0], dw[1]),
         ReluLayer("relu_fc2"),
-        DropoutLayer("drop2", config.dropout_rate),
+        DropoutLayer("drop2"),
         DenseLayer("fc3", dw[1], config.class_count),
         SoftmaxLayer("softmax"),
     ]
@@ -686,7 +680,7 @@ def build_googlenet3d_layers(config: GoogleNetConfig) -> tuple:
     layers.append(FlattenLayer("flatten"))
     feat = infer_shapes(layers, config.input_shape)[-1][1][0]
     layers += [
-        DropoutLayer("drop_head", config.dropout_rate),
+        DropoutLayer("drop_head"),
         DenseLayer("head", feat, config.class_count),
         SoftmaxLayer("softmax"),
     ]
@@ -704,29 +698,21 @@ def build_layers(config: ArchConfig) -> tuple:
     builder = _LAYER_BUILDERS.get(config.architecture)
     if builder is None:
         raise ValidationError(f"unknown architecture {config.architecture!r}")
-    layers = builder(config)
-    _validate_layers(layers)
-    return layers
+    return builder(config)
 
 
 def build_model(config: ArchConfig, seed: int = 0) -> Model:
     layers = build_layers(config)
     params = _init_params(parameter_shapes(layers), seed)
-    return Model(config=config, layers=layers, params=params,
-                 input_shape=tuple(config.input_shape),
-                 class_count=config.class_count)
+    return Model(config=config, layers=layers, params=params)
 
 
 def count_parameters(model: Model) -> int:
     return sum(p.size for p in model.params.values())
 
 
-def layer_census(model) -> dict:
-    """Counts of top-level conv layers, dense layers, and inception modules.
-
-    Accepts a built model or a bare layer sequence.
-    """
-    layers = model.layers if isinstance(model, Model) else model
+def layer_census(layers) -> dict:
+    """Counts of top-level conv layers, dense layers, and inception modules."""
     kinds = [l.kind for l in layers]
     return {"conv": kinds.count("conv3d"), "dense": kinds.count("dense"),
             "inception": kinds.count("concat-group")}
@@ -748,13 +734,14 @@ class ForwardCache:
 
 
 def forward(model: Model, x, mode: str = "eval", rng=None,
-            dropout_rate: float | None = None):
+            dropout_rate: float = 0.0):
     """Run the model on one volume; returns (probs, ForwardCache).
 
-    Eval mode is deterministic and ignores rng; train mode draws dropout
-    masks from rng (an int seed or a numpy Generator).  When dropout_rate is
-    given it overrides every dropout layer's configured rate for this call.
-    A cache is always recorded so gradients are available in either mode.
+    Eval mode is deterministic and ignores rng and dropout_rate; train mode
+    drops activations at every dropout layer at dropout_rate (the training
+    recipe's rate; 0 applies none), drawing masks from rng (an int seed or a
+    numpy Generator).  A cache is always recorded so gradients are available
+    in either mode.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -918,9 +905,7 @@ def load_model(data: bytes) -> Model:
             raise ValidationError(f"tensor {name!r} holds non-finite values")
     if r.pos != r.end:
         raise ValidationError("trailing bytes after model payload")
-    return Model(config=config, layers=layers, params=params,
-                 input_shape=tuple(config.input_shape),
-                 class_count=config.class_count)
+    return Model(config=config, layers=layers, params=params)
 
 
 def save_model_file(model: Model, path) -> None:

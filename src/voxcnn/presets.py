@@ -6,6 +6,10 @@ forward at desk scale), a toy tier at 3x32x40x32 for end-to-end phantom
 experiments, and a micro tier at 3x9x9x9 for gradient checks and optimizer
 sanity runs.  Reduced tiers shrink stem kernels and channel widths but keep
 each architecture's layer census identical to its full-size default.
+
+Presets are config values, not factories: every config class is a frozen
+dataclass with tuple fields, so one shared instance cannot be changed by a
+caller (`dataclasses.replace` makes a new one).
 """
 
 from __future__ import annotations
@@ -17,57 +21,35 @@ from .training import TrainConfig
 TOY_SHAPE = (3, 32, 40, 32)
 MICRO_SHAPE = (3, 9, 9, 9)
 
-
-def _alexnet_full() -> AlexNetConfig:
-    return AlexNetConfig()
-
-
-def _alexnet_toy() -> AlexNetConfig:
-    return AlexNetConfig(
+ARCH_PRESETS = {
+    "alexnet3d": AlexNetConfig(),
+    "alexnet3d-toy": AlexNetConfig(
         input_shape=TOY_SHAPE,
         conv_widths=(8, 16, 24, 24, 16),
         dense_widths=(64, 64),
         stem_kernel=5, stem_stride=2, stem_padding=2,
         mid_kernel=3, pool_padding=1,
-    )
-
-
-def _alexnet_micro() -> AlexNetConfig:
-    return AlexNetConfig(
+    ),
+    "alexnet3d-micro": AlexNetConfig(
         input_shape=MICRO_SHAPE,
         conv_widths=(4, 8, 8, 8, 8),
         dense_widths=(16, 16),
         stem_kernel=3, stem_stride=1, stem_padding=1,
         mid_kernel=3, pool_padding=1,
-    )
-
-
-def _vgg_full() -> VggConfig:
-    return VggConfig()
-
-
-def _vgg_toy() -> VggConfig:
-    return VggConfig(
+    ),
+    "vgg16-3d": VggConfig(),
+    "vgg16-3d-toy": VggConfig(
         input_shape=TOY_SHAPE,
         block_widths=(8, 16, 24, 32, 32),
         dense_widths=(32, 32),
-    )
-
-
-def _vgg_micro() -> VggConfig:
-    return VggConfig(
+    ),
+    "vgg16-3d-micro": VggConfig(
         input_shape=MICRO_SHAPE,
         block_widths=(4, 8, 8, 16, 16),
         dense_widths=(16, 16),
-    )
-
-
-def _googlenet_full() -> GoogleNetConfig:
-    return GoogleNetConfig()
-
-
-def _googlenet_toy() -> GoogleNetConfig:
-    return GoogleNetConfig(
+    ),
+    "googlenet3d": GoogleNetConfig(),
+    "googlenet3d-toy": GoogleNetConfig(
         input_shape=TOY_SHAPE,
         stem_widths=(8, 8, 16),
         stem_kernel=5, stem_stride=2, stem_padding=2,
@@ -77,11 +59,8 @@ def _googlenet_toy() -> GoogleNetConfig:
              (6, 6, 8, 2, 4, 4), (8, 8, 12, 2, 6, 6)),
             ((8, 8, 12, 2, 6, 6), (8, 8, 12, 2, 6, 6)),
         ),
-    )
-
-
-def _googlenet_micro() -> GoogleNetConfig:
-    return GoogleNetConfig(
+    ),
+    "googlenet3d-micro": GoogleNetConfig(
         input_shape=MICRO_SHAPE,
         stem_widths=(4, 4, 8),
         stem_kernel=3, stem_stride=1, stem_padding=1,
@@ -91,68 +70,41 @@ def _googlenet_micro() -> GoogleNetConfig:
              (4, 4, 6, 2, 3, 3), (4, 4, 6, 2, 3, 3)),
             ((4, 4, 6, 2, 3, 3), (4, 4, 6, 2, 3, 3)),
         ),
-    )
+    ),
+}
 
-
-ARCH_PRESETS = {
-    "alexnet3d": _alexnet_full,
-    "alexnet3d-toy": _alexnet_toy,
-    "alexnet3d-micro": _alexnet_micro,
-    "vgg16-3d": _vgg_full,
-    "vgg16-3d-toy": _vgg_toy,
-    "vgg16-3d-micro": _vgg_micro,
-    "googlenet3d": _googlenet_full,
-    "googlenet3d-toy": _googlenet_toy,
-    "googlenet3d-micro": _googlenet_micro,
+TRAIN_PRESETS = {
+    "default": TrainConfig(),
+    # The default schedule (lr 1e-5 over 1024 epochs) is far too slow for a
+    # 30-epoch desk run; these values reach high accuracy on toy phantoms.
+    # Light dropout keeps the learned evidence spatially compact, which the
+    # saliency enrichment check depends on.
+    "phantom-toy": TrainConfig(
+        epochs=30, lr0=1e-3, l2_lambda=1e-4, dropout_rate=0.1,
+    ),
+    # Overfit-on-purpose settings for the 4-sample optimizer sanity run.
+    # GoogleNet3D at micro widths needs a smaller step (around 1e-3).
+    "memorize-micro": TrainConfig(
+        epochs=500, lr0=3e-3, l2_lambda=0.0, dropout_rate=0.0, batch_size=4,
+    ),
 }
 
 
 def arch_preset(name: str) -> ArchConfig:
     try:
-        factory = ARCH_PRESETS[name]
+        return ARCH_PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(ARCH_PRESETS))
         raise ValidationError(
             f"unknown architecture preset {name!r} (known: {known})"
         ) from None
-    return factory()
-
-
-def _train_default() -> TrainConfig:
-    return TrainConfig()
-
-
-def _train_phantom_toy() -> TrainConfig:
-    # The default schedule (lr 1e-5 over 1024 epochs) is far too slow for a
-    # 30-epoch desk run; these values reach high accuracy on toy phantoms.
-    # Light dropout keeps the learned evidence spatially compact, which the
-    # saliency enrichment check depends on.
-    return TrainConfig(
-        epochs=30, lr0=1e-3, l2_lambda=1e-4, dropout_rate=0.1,
-    )
-
-
-def _train_memorize_micro() -> TrainConfig:
-    # Overfit-on-purpose settings for the 4-sample optimizer sanity run.
-    # GoogleNet3D at micro widths needs a smaller step (around 1e-3).
-    return TrainConfig(
-        epochs=500, lr0=3e-3, l2_lambda=0.0, dropout_rate=0.0, batch_size=4,
-    )
-
-
-TRAIN_PRESETS = {
-    "default": _train_default,
-    "phantom-toy": _train_phantom_toy,
-    "memorize-micro": _train_memorize_micro,
-}
 
 
 def train_preset(name: str) -> TrainConfig:
     try:
-        factory = TRAIN_PRESETS[name]
+        return TRAIN_PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(TRAIN_PRESETS))
         raise ValidationError(
             f"unknown training preset {name!r} (known: {known})"
         ) from None
-    return factory()

@@ -80,13 +80,11 @@ class SplitPlan:
     train_ids: tuple
     val_ids: tuple
     test_ids: tuple
-    ratios: tuple = (0.70, 0.15, 0.15)
 
     def __post_init__(self):
         object.__setattr__(self, "train_ids", tuple(self.train_ids))
         object.__setattr__(self, "val_ids", tuple(self.val_ids))
         object.__setattr__(self, "test_ids", tuple(self.test_ids))
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
         groups = (set(self.train_ids), set(self.val_ids), set(self.test_ids))
         if sum(len(g) for g in groups) != len(self.train_ids) + len(
                 self.val_ids) + len(self.test_ids):
@@ -198,7 +196,6 @@ def split_dataset(ids, ratios=(0.70, 0.15, 0.15), seed: int = 0) -> SplitPlan:
         train_ids=shuffled[:n_train],
         val_ids=shuffled[n_train:n_train + n_val],
         test_ids=shuffled[n_train + n_val:],
-        ratios=ratios,
     )
 
 
@@ -453,15 +450,12 @@ def run_cross_validation(dataset, fold_plan: FoldPlan, arch_config,
     """Train one model per fold, evaluate on the held-out fold.
 
     Results come back ordered by fold index.  Fold seeds derive from the
-    config seed, so runs are reproducible regardless of worker count.
+    config seed, so runs are reproducible regardless of worker count.  A
+    failing fold cancels the folds still queued.
     """
     if workers < 1:
         raise ValidationError("workers must be at least 1")
-    indices = range(fold_plan.k)
-    if workers == 1:
-        return [_run_fold(dataset, fold_plan, arch_config, config, i)
-                for i in indices]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_fold, dataset, fold_plan, arch_config,
-                               config, i) for i in indices]
-        return [f.result() for f in futures]
+        return list(pool.map(
+            lambda i: _run_fold(dataset, fold_plan, arch_config, config, i),
+            range(fold_plan.k)))

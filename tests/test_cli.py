@@ -64,7 +64,6 @@ def tiny_arch():
         stem_stride=1,
         stem_padding=1,
         pool_padding=1,
-        dropout_rate=0.0,
     )
 
 
@@ -317,6 +316,19 @@ class TestTrain:
                    "--out", str(out)])
         assert rc == 3
         assert "does not match dataset" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_train_preset(self, manifest_path, arch_path, tmp_path,
+                                  capsys):
+        """A training config that is neither a file nor a preset name is a
+        validation error listing the known presets."""
+        out = tmp_path / "never"
+        assert main(["train", "--manifest", manifest_path, "--arch-config",
+                     arch_path, "--train-config", "no-such-preset",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "unknown training preset 'no-such-preset'" in err
+        assert "known: default, memorize-micro, phantom-toy" in err
         assert not out.exists()
 
 
@@ -767,6 +779,7 @@ class TestInfo:
         ("alexnet3d", "conv_widths", "abc"),
         ("alexnet3d", "input_shape", 5),
         ("alexnet3d", "dropout_rate", "x"),
+        ("alexnet3d", "dropout_rate", 0.2),
         ("googlenet3d", "inception", [[1]]),
         ("alexnet3d", "stem_kernel", 2.5),
         ("alexnet3d", "class_count", None),
@@ -775,11 +788,22 @@ class TestInfo:
     def test_wrongly_typed_config_field(self, arch, field, value, tmp_path,
                                         capsys):
         """A config field of the wrong type is a validation error naming the
-        field, not a traceback."""
+        field, not a traceback.  So is a dropout rate, which belongs to the
+        training config and is refused here rather than ignored."""
         path = tmp_path / "arch.json"
         path.write_text(json.dumps({"architecture": arch, field: value}))
         assert main(["info", "--arch-config", str(path)]) == 3
         assert field in capsys.readouterr().err
+
+    def test_unknown_arch_preset(self, capsys):
+        """An architecture config that is neither a file nor a preset name
+        is a validation error listing the known presets."""
+        assert main(["info", "--arch-config", "no-such-preset"]) == 3
+        err = capsys.readouterr().err
+        assert "unknown architecture preset 'no-such-preset'" in err
+        assert ("known: alexnet3d, alexnet3d-micro, alexnet3d-toy, "
+                "googlenet3d, googlenet3d-micro, googlenet3d-toy, vgg16-3d, "
+                "vgg16-3d-micro, vgg16-3d-toy") in err
 
     def test_info_without_flags(self, capsys):
         """info needs either an architecture or probe flags."""

@@ -1,5 +1,6 @@
 """Tests for architecture builders, whole-model execution, and model files."""
 
+import json
 import struct
 import zlib
 
@@ -136,8 +137,7 @@ class TestConfigs:
         cfg = AlexNetConfig(input_shape=(3, 32, 40, 32),
                             conv_widths=(8, 16, 24, 24, 16),
                             dense_widths=(64, 64), stem_kernel=5,
-                            stem_stride=2, stem_padding=2, pool_padding=1,
-                            dropout_rate=0.25)
+                            stem_stride=2, stem_padding=2, pool_padding=1)
         again = config_from_json(config_to_json(cfg))
         assert again == cfg
         assert again.stem_kernel == 5
@@ -166,12 +166,6 @@ class TestConfigs:
         d["architecture"] = "resnet3d"
         with pytest.raises(ValidationError, match="resnet3d"):
             config_from_dict(d)
-
-    def test_bad_dropout_rejected(self):
-        with pytest.raises(ValidationError):
-            AlexNetConfig(dropout_rate=1.0)
-        with pytest.raises(ValidationError):
-            AlexNetConfig(dropout_rate=-0.1)
 
     def test_bad_width_counts_rejected(self):
         with pytest.raises(ValidationError):
@@ -392,6 +386,8 @@ class TestForward:
         p_eval, _ = forward(model, x)
         p_train, _ = forward(model, x, mode="train", rng=0, dropout_rate=0.0)
         assert_allclose(p_train, p_eval, rtol=1e-14)
+        p_no_rate, _ = forward(model, x, mode="train", rng=0)
+        assert_allclose(p_no_rate, p_eval, rtol=1e-14)
 
     def test_train_dropout_is_seed_reproducible(self):
         model = micro_model("alexnet3d-micro")
@@ -662,6 +658,36 @@ class TestSaveLoad:
             assert (again.params[k] == model.params[k]).all()
         with pytest.raises(ValidationError, match="trailing"):
             load_model(v1[:4] + struct.pack("<I", 1) + blob[8:])
+
+    @pytest.mark.parametrize("preset", MICRO_PRESETS)
+    def test_config_format_1_still_loads(self, preset):
+        """A model file whose config JSON is format 1, which also held a
+        dropout rate, loads to the same parameters and eval probabilities;
+        the rate is type-checked and dropped."""
+        model = micro_model(preset, seed=6)
+        blob = save_model(model)
+        (cfg_len,) = struct.unpack("<I", blob[8:12])
+        cfg = json.loads(blob[12:12 + cfg_len])
+        assert cfg["format_version"] == 2 and "dropout_rate" not in cfg
+
+        def with_config(**fields):
+            text = json.dumps(dict(cfg, **fields), sort_keys=True,
+                              separators=(",", ":")).encode()
+            return _sealed(blob[:8] + struct.pack("<I", len(text)) + text
+                           + blob[12 + cfg_len:-4])
+
+        again = load_model(with_config(format_version=1, dropout_rate=0.5))
+        assert again.config == model.config
+        for k in model.params:
+            assert (again.params[k] == model.params[k]).all()
+        x = np.random.default_rng(8).normal(size=(3, 9, 9, 9))
+        assert (forward(again, x)[0] == forward(model, x)[0]).all()
+        assert save_model(again) == blob
+        with pytest.raises(ValidationError, match="'dropout_rate'.*number"):
+            load_model(with_config(format_version=1, dropout_rate="x"))
+        with pytest.raises(ValidationError, match="unknown config field "
+                                                  "'dropout_rate'"):
+            load_model(with_config(dropout_rate=0.5))
 
     @pytest.mark.parametrize("container", ["vvol", "v0xn"])
     @settings(max_examples=150, deadline=None)

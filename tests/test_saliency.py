@@ -48,8 +48,7 @@ class TestSaliencyMap:
             config=AlexNetConfig(input_shape=shape),
             layers=(FlattenLayer("flatten"), DenseLayer("fc", n, 3),
                     SoftmaxLayer("softmax")),
-            params={"fc.w": w, "fc.b": np.zeros(3)},
-            input_shape=shape, class_count=3)
+            params={"fc.w": w, "fc.b": np.zeros(3)})
         x = rng.normal(size=shape)
         for c in range(3):
             m = saliency_map(model, x, c)
