@@ -779,11 +779,11 @@ class TestInfo:
         ("alexnet3d", "conv_widths", "abc"),
         ("alexnet3d", "input_shape", 5),
         ("alexnet3d", "dropout_rate", "x"),
-        ("alexnet3d", "dropout_rate", 0.2),
         ("googlenet3d", "inception", [[1]]),
         ("alexnet3d", "stem_kernel", 2.5),
         ("alexnet3d", "class_count", None),
         ("googlenet3d", "inception", [[[1, 2]]]),
+        ("alexnet3d", "dropout_rate", 0.2),
     ])
     def test_wrongly_typed_config_field(self, arch, field, value, tmp_path,
                                         capsys):
