@@ -109,12 +109,20 @@ def _select_ids(dataset: VolumeDataset, split: str, seed: int | None):
     return ids
 
 
-def _check_extents(dataset: VolumeDataset, input_shape) -> None:
+def _check_model(dataset: VolumeDataset, config, source: str) -> None:
+    """Refuse, before any forward, a model config (from the model file or
+    arch config named by source) whose input shape or class count does not
+    fit the dataset."""
     expected = (3,) + tuple(dataset.extents)
-    if tuple(input_shape) != expected:
+    if tuple(config.input_shape) != expected:
         raise ValidationError(
-            f"model input shape {tuple(input_shape)} does not match dataset "
-            f"volumes {expected}"
+            f"{source}: model input shape {tuple(config.input_shape)} does not "
+            f"match dataset volumes {expected}"
+        )
+    if config.class_count != len(CLASSES):
+        raise ValidationError(
+            f"{source}: model has {config.class_count} classes, the dataset "
+            f"has {len(CLASSES)} ({', '.join(CLASSES)})"
         )
 
 
@@ -144,7 +152,7 @@ def cmd_train(args) -> int:
     arch = _load_arch_config(args.arch_config)
     config = _load_train_config(args.train_config, args.seed)
     dataset = VolumeDataset.from_manifest(args.manifest)
-    _check_extents(dataset, arch.input_shape)
+    _check_model(dataset, arch, args.arch_config)
     groups = _split_groups(dataset, config.seed)
     if not groups["train"]:
         raise ValidationError("manifest tags contain no training samples")
@@ -198,8 +206,8 @@ def cmd_eval(args) -> int:
     if len(models) not in (1, 2, 3):
         raise ValidationError("eval accepts between 1 and 3 --model files")
     dataset = VolumeDataset.from_manifest(args.manifest)
-    for m in models:
-        _check_extents(dataset, m.input_shape)
+    for path, m in zip(args.model, models):
+        _check_model(dataset, m.config, path)
     ids = _select_ids(dataset, args.split, args.seed)
 
     names = []
@@ -280,7 +288,7 @@ def cmd_crossval(args) -> int:
     arch = _load_arch_config(args.arch_config)
     config = _load_train_config(args.train_config, args.seed)
     dataset = VolumeDataset.from_manifest(args.manifest)
-    _check_extents(dataset, arch.input_shape)
+    _check_model(dataset, arch, args.arch_config)
     labels = [dataset.label_of(i) for i in dataset.ids]
     fold_plan = make_kfold(dataset.ids, labels, k=args.k, seed=config.seed)
     results = run_cross_validation(dataset, fold_plan, arch, config,
@@ -313,7 +321,7 @@ def cmd_crossval(args) -> int:
 def cmd_saliency(args) -> int:
     model = load_model_file(args.model)
     dataset = VolumeDataset.from_manifest(args.manifest)
-    _check_extents(dataset, model.input_shape)
+    _check_model(dataset, model.config, args.model)
     ids = _select_ids(dataset, args.split, args.seed)
     class_names = [c.strip() for c in args.classes.split(",") if c.strip()]
     for cname in class_names:

@@ -17,7 +17,8 @@ input_grad=False skips the input gradient, which a network's first layer in
 training never needs.
 
 maxpool3d takes a separable max and recovers its argmax from output-sized
-candidates, so it copies no k^3 window either.
+candidates, so it copies no k^3 window either; argmax=False skips that
+recovery for a forward that never back-propagates.
 
 Kernels check shapes, not values: a NaN or inf passes through them.  The
 model's forward walk (voxcnn.models) scans each layer's output once, and
@@ -370,7 +371,7 @@ def _first_match(candidate, k, target):
     return first
 
 
-def maxpool3d(x, spec: PoolSpec):
+def maxpool3d(x, spec: PoolSpec, argmax=True):
     """Max pooling over 3D windows, as a separable max.
 
     Returns (output, argmax, cache); argmax holds, per output element, the
@@ -388,7 +389,9 @@ def maxpool3d(x, spec: PoolSpec):
     first depth tap whose b equals the output, at that depth the first row
     tap whose a equals it, and in that row the first column of the padded
     input that does.  That is the row-major first occurrence, and no
-    kd*kh*kw window is ever copied.
+    kd*kh*kw window is ever copied.  With argmax False the recovery is
+    skipped and the call returns (output, None, None), which a forward that
+    never back-propagates needs.
     """
     x = _check_volume(x)
     c, d, h, w = x.shape
@@ -414,6 +417,8 @@ def maxpool3d(x, spec: PoolSpec):
                       for j in range(kh)])
     depth_taps = [b[:, i : i + (od - 1) * sd + 1 : sd] for i in range(kd)]
     out = _running_max(depth_taps)
+    if not argmax:
+        return out, None, None
 
     ci = np.arange(c)[:, None, None, None]
     zi = np.arange(od)[:, None, None] * sd
@@ -435,10 +440,9 @@ def maxpool3d(x, spec: PoolSpec):
     dk = np.maximum(_first_match(lambda k: flat.take(ia + k), kw, out),
                     pw - ox * sw)
 
-    argmax = ((ci * d + zi - pd) * h + yi - ph) * w + ox * sw - pw
-    argmax += (di * h + dj) * w + dk
-    cache = (x.shape, argmax)
-    return out, argmax, cache
+    arg = ((ci * d + zi - pd) * h + yi - ph) * w + ox * sw - pw
+    arg += (di * h + dj) * w + dk
+    return out, arg, (x.shape, arg)
 
 
 def maxpool3d_backward(cache, grad_out):

@@ -5,8 +5,11 @@ a VGG16-style stack (13 conv + 3 dense), and a GoogleNet-style network built
 from inception modules with a single classification head.  A model is its
 architecture config (which fixes its input shape and class count), the
 ordered layer list built from it, and a flat named parameter store;
-execution walks the list forward (recording per-layer caches) and backward
-(producing a gradient for every parameter and for the input).
+execution walks the list forward and backward (producing a gradient for
+every parameter and for the input).  A forward records the per-layer caches
+that the backward reads, unless it is told not to: evaluation never
+back-propagates, so it keeps no cache past the next layer and its pooling
+skips the argmax.
 
 Each layer class owns its kind: `out_shape`, `param_shapes`, `forward(x,
 params, run)`, `backward(cache, g, grads)` and `convs(shape)`; shape walks,
@@ -62,11 +65,13 @@ MODEL_FORMAT_VERSION = 2
 @dataclass
 class Run:
     """Per-call state a layer forward may read: the forward mode, the dropout
-    generator (train mode only) and the rate of every dropout layer."""
+    generator (train mode only), the rate of every dropout layer, and whether
+    the caches a backward needs are recorded."""
 
     mode: str
     gen: np.random.Generator | None
     dropout_rate: float
+    record: bool
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,7 @@ class PoolLayer(Layer):
             shape[1:], s.kernel, s.stride, s.padding, what=self.name)
 
     def forward(self, x, params, run):
-        out, _, cache = maxpool3d(x, self.spec)
+        out, _, cache = maxpool3d(x, self.spec, argmax=run.record)
         return out, cache
 
     def backward(self, cache, g, grads, input_grad=True):
@@ -265,7 +270,9 @@ def _forward_walk(layers, x, params, run: Run):
 
     The one forward loop, for the top-level list and every inception branch:
     a layer's error gains its name, and a non-finite output raises
-    NumericError naming the innermost layer that produced it.
+    NumericError naming the innermost layer that produced it.  Unless
+    run.record, only the last layer's cache is kept, each one dropped once
+    the layer after it has run.
     """
     entries = []
     for l in layers:
@@ -275,7 +282,10 @@ def _forward_walk(layers, x, params, run: Run):
             raise type(e)(f"layer {l.name!r}: {e}") from e
         if not np.isfinite(x).all():
             raise NumericError(f"layer {l.name!r}: non-finite activations")
-        entries.append(c)
+        if run.record:
+            entries.append(c)
+        else:
+            entries = [c]
     return x, entries
 
 
@@ -329,6 +339,8 @@ class InceptionLayer(Layer):
     def forward(self, x, params, run):
         walks = [_forward_walk(branch, x, params, run) for branch in self.branches]
         out, widths = concat_channels([out for out, _ in walks])
+        if not run.record:
+            return out, None
         return out, ([entries for _, entries in walks], widths)
 
     def backward(self, cache, g, grads, input_grad=True):
@@ -725,23 +737,29 @@ def layer_census(layers) -> dict:
 
 @dataclass
 class ForwardCache:
-    """What backward reads; layers and params identify the model."""
+    """What backward reads; layers and params identify the model.  entries
+    is None when the forward recorded no backward state."""
 
     layers: tuple
     params: dict
-    entries: list
+    entries: list | None
     logits: np.ndarray
 
 
 def forward(model: Model, x, mode: str = "eval", rng=None,
-            dropout_rate: float = 0.0):
+            dropout_rate: float = 0.0, record: bool = True):
     """Run the model on one volume; returns (probs, ForwardCache).
 
     Eval mode is deterministic and ignores rng and dropout_rate; train mode
     drops activations at every dropout layer at dropout_rate (the training
     recipe's rate; 0 applies none), drawing masks from rng (an int seed or a
-    numpy Generator).  A cache is always recorded so gradients are available
-    in either mode.
+    numpy Generator).  record matters only to what the cache can do, in
+    either mode: record True keeps every layer's cache for backpropagate and
+    model_backward; record False suits a caller that reads only the
+    probabilities or cache.logits: no layer's cache outlives the layer after
+    it, pooling skips its argmax, and the returned cache holds only the
+    logits, which both backward entry points refuse.  The probabilities and
+    logits are the same bit for bit either way.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"forward mode must be 'train' or 'eval', got {mode!r}")
@@ -755,9 +773,10 @@ def forward(model: Model, x, mode: str = "eval", rng=None,
     if not np.isfinite(x).all():
         raise NumericError("model input: non-finite values")
     run = Run(mode, np.random.default_rng(rng) if mode == "train" else None,
-              dropout_rate)
+              dropout_rate, record)
     probs, entries = _forward_walk(model.layers, x, model.params, run)
-    return probs, ForwardCache(model.layers, model.params, entries, entries[-1])
+    return probs, ForwardCache(model.layers, model.params,
+                               entries if record else None, entries[-1])
 
 
 def backpropagate(model: Model, cache: ForwardCache, grad_logits):
@@ -773,6 +792,10 @@ def _backpropagate(model: Model, cache: ForwardCache, grad_logits,
                    input_grad: bool):
     if cache.layers is not model.layers or cache.params is not model.params:
         raise ValidationError("cache was recorded by a different model (stale cache)")
+    if cache.entries is None:
+        raise ValidationError(
+            "the forward recorded no backward state (record=False); "
+            "run forward with record=True to back-propagate")
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != cache.logits.shape:
         raise ValidationError(

@@ -323,7 +323,7 @@ def evaluate(model: Model, dataset, ids) -> EvalResult:
     loss_sum = 0.0
     for sid in ids:
         x, y = dataset.example(sid)
-        probs, cache = forward(model, x, mode="eval")
+        probs, cache = forward(model, x, mode="eval", record=False)
         _, loss, _ = softmax_xent(cache.logits, y)
         loss_sum += loss
         rows.append(probs)

@@ -14,10 +14,13 @@ import shutil
 import struct
 import zlib
 from contextlib import redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import voxcnn.saliency
+import voxcnn.training
 from voxcnn.cli import main
 from voxcnn.metrics import CLASSES, confusion_matrix, overall_accuracy
 from voxcnn.models import (
@@ -165,6 +168,31 @@ def model_trio(work):
         save_model_file(model, str(path))
         paths.append(str(path))
     return paths
+
+
+@pytest.fixture(scope="module")
+def class_mismatch(work):
+    """Arch config files and untrained model files for 2 and 4 classes,
+    against the dataset's 3: {class_count: (arch path, model path)}."""
+    out = {}
+    for count in (2, 4):
+        arch = replace(tiny_arch(), class_count=count)
+        arch_file = work / f"arch{count}.json"
+        arch_file.write_text(config_to_json(arch))
+        model_file = work / f"model{count}.v0xn"
+        save_model_file(build_model(arch), str(model_file))
+        out[count] = (str(arch_file), str(model_file))
+    return out
+
+
+@pytest.fixture
+def no_forward(monkeypatch):
+    """Fail the test if a command runs any model forward."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a forward ran before the config was checked")
+
+    monkeypatch.setattr(voxcnn.training, "forward", refuse)
+    monkeypatch.setattr(voxcnn.saliency, "forward", refuse)
 
 
 class TestGenerate:
@@ -318,6 +346,20 @@ class TestTrain:
         assert "does not match dataset" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_class_count_mismatch_leaves_no_output(
+            self, manifest_path, train_cfg_path, class_mismatch, no_forward,
+            tmp_path, capsys):
+        """An arch config with 4 classes against the dataset's 3 is refused
+        before any forward, naming the config."""
+        arch4 = class_mismatch[4][0]
+        out = tmp_path / "never"
+        assert main(["train", "--manifest", manifest_path, "--arch-config",
+                     arch4, "--train-config", train_cfg_path,
+                     "--out", str(out)]) == 3
+        assert (f"{arch4}: model has 4 classes, the dataset has 3"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_train_preset(self, manifest_path, arch_path, tmp_path,
                                   capsys):
         """A training config that is neither a file nor a preset name is a
@@ -420,6 +462,21 @@ class TestEval:
         assert "== alexnet3d ==" in text
         assert "== alexnet3d#2 ==" in text
         assert "ensemble" not in text
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_class_count_mismatch(self, manifest_path, model_trio,
+                                  class_mismatch, no_forward, count, tmp_path,
+                                  capsys):
+        """A model whose class count is not the dataset's 3 is refused
+        before any model is evaluated, naming its file, even after a good
+        one."""
+        bad = class_mismatch[count][1]
+        out = tmp_path / "never"
+        assert main(["eval", "--manifest", manifest_path, "--model",
+                     model_trio[0], "--model", bad, "--out", str(out)]) == 3
+        assert (f"{bad}: model has {count} classes, the dataset has 3"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_missing_model_file(self, manifest_path, capsys):
         """A nonexistent model path is reported as a data error."""
@@ -609,6 +666,19 @@ class TestCrossval:
         assert rc == 3
         assert "fewer than k" in capsys.readouterr().err
 
+    def test_class_count_mismatch(self, manifest_path, train_cfg_path,
+                                  class_mismatch, no_forward, tmp_path,
+                                  capsys):
+        """An arch config with 2 classes is refused before any fold trains."""
+        arch2 = class_mismatch[2][0]
+        out = tmp_path / "never"
+        assert main(["crossval", "--manifest", manifest_path, "--arch-config",
+                     arch2, "--train-config", train_cfg_path, "--k", "3",
+                     "--out", str(out)]) == 3
+        assert (f"{arch2}: model has 2 classes, the dataset has 3"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_output_files(self, cv_case):
         """crossval.csv carries the report and folds.csv partitions the ids."""
         text, out, manifest = cv_case
@@ -672,6 +742,17 @@ class TestSaliency:
                      str(model_dir / "model.v0xn"), "--classes", "XX",
                      "--out", str(tmp_path / "sal")]) == 3
         assert "unknown class" in capsys.readouterr().err
+
+    def test_class_count_mismatch(self, manifest_path, class_mismatch,
+                                  no_forward, tmp_path, capsys):
+        """A 4-class model is refused before any saliency map is made."""
+        bad = class_mismatch[4][1]
+        out = tmp_path / "sal"
+        assert main(["saliency", "--manifest", manifest_path, "--model", bad,
+                     "--out", str(out)]) == 3
+        assert (f"{bad}: model has 4 classes, the dataset has 3"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_zero_extent_mask(self, manifest_path, model_trio, tmp_path,
                               capsys):

@@ -338,6 +338,8 @@ class TestMaxPool3d:
         ref_out, ref_arg = maxpool3d_loops(x, k, s, p)
         assert_array_equal(out, ref_out)
         assert_array_equal(argmax, ref_arg)
+        bare = maxpool3d(x, PoolSpec(k, s, p), argmax=False)
+        assert np.array_equal(bare[0], out) and bare[1:] == (None, None)
         g = rng.integers(-3, 4, out.shape).astype(np.float64)
         ref = np.zeros(x.size)
         np.add.at(ref, ref_arg.ravel(), g.ravel())
@@ -359,6 +361,9 @@ class TestMaxPool3d:
         ref_out, ref_arg = maxpool3d_loops(x, spec.kernel, spec.stride,
                                            spec.padding)
         assert argmax.min() >= 0 and argmax.max() < x.size
+        bare = maxpool3d(x, spec, argmax=False)
+        assert np.array_equal(bare[0], out, equal_nan=True)
+        assert bare[1:] == (None, None)
         for at in np.ndindex(out.shape):
             corner = [o * t - q for o, t, q in
                       zip(at[1:], spec.stride, spec.padding)]

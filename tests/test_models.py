@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -65,6 +66,7 @@ FULL_CONFIGS = {
     "googlenet3d": GoogleNetConfig,
 }
 MICRO_PRESETS = ("alexnet3d-micro", "vgg16-3d-micro", "googlenet3d-micro")
+TOY_PRESETS = ("alexnet3d-toy", "vgg16-3d-toy", "googlenet3d-toy")
 
 
 def micro_model(name, seed=0):
@@ -380,6 +382,40 @@ class TestForward:
         probs, _ = forward(model, x)
         assert_allclose(probs, manual_forward(model, x), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("preset", MICRO_PRESETS + TOY_PRESETS)
+    def test_unrecorded_forward_matches_recorded(self, preset):
+        """record=False gives the same probabilities and logits bit for bit,
+        in eval mode and in train mode with the same dropout masks."""
+        model = micro_model(preset, seed=12)
+        x = np.random.default_rng(15).normal(size=model.input_shape)
+        for kw in (dict(mode="eval"),
+                   dict(mode="train", rng=4, dropout_rate=0.5)):
+            p1, c1 = forward(model, x, record=True, **kw)
+            p2, c2 = forward(model, x, record=False, **kw)
+            assert np.array_equal(p1, p2), kw
+            assert np.array_equal(c1.logits, c2.logits), kw
+
+    def test_unrecorded_cache_holds_only_logits(self):
+        """A record=False cache keeps no array but the logits (besides the
+        model's own layers and parameters), and the call peaks lower than a
+        recording one."""
+        model = micro_model("vgg16-3d-toy", seed=1)
+        x = np.random.default_rng(16).random(model.input_shape)
+        peaks = {}
+        for record in (True, False):
+            tracemalloc.start()
+            try:
+                _, cache = forward(model, x, record=record)
+                peaks[record] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        held = {k: v for k, v in vars(cache).items()
+                if k not in ("layers", "params")}
+        assert held["entries"] is None
+        assert set(held) == {"entries", "logits"}
+        assert held["logits"].shape == (model.class_count,)
+        assert peaks[False] < peaks[True]
+
     def test_train_with_zero_dropout_matches_eval(self):
         model = micro_model("alexnet3d-micro")
         x = np.random.default_rng(5).normal(size=(3, 9, 9, 9))
@@ -557,6 +593,17 @@ class TestBackward:
         _, cache = forward(m1, x)
         with pytest.raises(ValidationError, match="stale"):
             model_backward(m2, cache, 0)
+
+    def test_unrecorded_cache_rejected(self):
+        """Neither backward entry point accepts a cache that recorded no
+        backward state."""
+        model = micro_model("alexnet3d-micro")
+        x = np.random.default_rng(17).normal(size=(3, 9, 9, 9))
+        _, cache = forward(model, x, record=False)
+        with pytest.raises(ValidationError, match="recorded no backward state"):
+            model_backward(model, cache, 0)
+        with pytest.raises(ValidationError, match="recorded no backward state"):
+            backpropagate(model, cache, np.ones(3))
 
     def test_cross_architecture_cache_rejected(self):
         x = np.random.default_rng(13).normal(size=(3, 9, 9, 9))

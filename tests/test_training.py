@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import voxcnn.models
 import voxcnn.training
 from voxcnn.errors import NumericError, ValidationError
-from voxcnn.models import build_model, count_parameters
+from voxcnn.kernels import softmax_xent
+from voxcnn.models import build_model, count_parameters, forward
 from voxcnn.presets import arch_preset
 from voxcnn.training import (
     AdamState,
@@ -329,6 +331,46 @@ class TestEvaluate:
         model = build_model(arch_preset("alexnet3d-micro"))
         with pytest.raises(ValidationError):
             evaluate(model, micro_dataset(), ())
+
+    def test_equals_recording_forward(self):
+        """Probabilities and mean loss equal those of recording forwards bit
+        for bit, so history.csv's val_loss does not depend on evaluate
+        keeping no backward state."""
+        model = build_model(arch_preset("googlenet3d-micro"), seed=2)
+        ds = micro_dataset(n_per_class=2)
+        res = evaluate(model, ds, ds.ids)
+        probs, loss_sum = [], 0.0
+        for sid in ds.ids:
+            x, y = ds.example(sid)
+            p, cache = forward(model, x, mode="eval", record=True)
+            probs.append(p)
+            loss_sum += softmax_xent(cache.logits, y)[1]
+        assert np.array_equal(res.probs, np.stack(probs))
+        assert res.mean_loss == loss_sum / len(ds.ids)
+
+    def test_forward_lookup_sites(self, monkeypatch):
+        """evaluate calls voxcnn.training.forward with record=False, and its
+        pools reach voxcnn.models.maxpool3d with argmax=False: a wrapper set
+        at either global sees every call, as the benchmark's tracer needs."""
+        records, argmaxes = [], []
+        real_forward = voxcnn.training.forward
+        real_pool = voxcnn.models.maxpool3d
+
+        def forward_spy(*args, **kwargs):
+            records.append(kwargs.get("record", True))
+            return real_forward(*args, **kwargs)
+
+        def pool_spy(x, spec, argmax=True):
+            argmaxes.append(argmax)
+            return real_pool(x, spec, argmax)
+
+        monkeypatch.setattr(voxcnn.training, "forward", forward_spy)
+        monkeypatch.setattr(voxcnn.models, "maxpool3d", pool_spy)
+        model = build_model(arch_preset("googlenet3d-micro"))
+        ds = micro_dataset(n_per_class=1)
+        evaluate(model, ds, ds.ids)
+        assert records == [False] * 3
+        assert argmaxes and not any(argmaxes)
 
 
 class TestTrain:
