@@ -64,8 +64,7 @@ print(f"sample {sample_id} (class {y}): map shape {smap.data.shape}, "
 print()
 print("== class-mean saliency vs the generator's region mask ==")
 for ci, cname in enumerate(("AD", "MCI", "CN")):
-    ids = [i for i in dataset.ids if dataset.label_of(i) == cname]
-    mean_map = class_mean_saliency(model, dataset, ci, ids=ids)
+    mean_map = class_mean_saliency(model, dataset, ci)
     mask = load_mask(os.path.join(root, "masks", f"mask_{cname}.vvol"))
     score = region_enrichment(mean_map, mask)
     print(f"{cname}: enrichment {score:5.2f} "

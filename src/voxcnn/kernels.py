@@ -14,11 +14,13 @@ the input gradient.  Every GEMM reads or writes a contiguous column range of
 a phase, so no per-voxel window tensor is copied, and both kernels run their
 offsets inside L2-sized column blocks (_column_blocks).  conv3d_backward's
 input_grad=False skips the input gradient, which a network's first layer in
-training never needs.
+training never needs; a cache whose phases were dropped skips the weight
+and bias gradients, which a saliency map never needs.
 
 maxpool3d takes a separable max and recovers its argmax from output-sized
 candidates, so it copies no k^3 window either; argmax=False skips that
-recovery for a forward that never back-propagates.
+recovery, and relu's mask=False skips its backward mask, for a forward
+that never back-propagates.
 
 Kernels check shapes, not values: a NaN or inf passes through them.  The
 model's forward walk (voxcnn.models) scans each layer's output once, and
@@ -281,13 +283,20 @@ def conv3d_backward(cache, grad_out, input_grad=True):
     Inside each column block (see _column_blocks), one loop over the kernel
     offsets (i, j, k) runs one GEMM per offset for the weight gradient and,
     unless input_grad is False, one for the input gradient; with input_grad
-    False, grad_input is None.  Both work on the stride phases that conv3d
-    cached (see _phase_split): grad_out sits in a zero (C_out, D'*Hq*Wq)
-    grid, so each offset reads or accumulates one contiguous column range of
-    a phase, and the grid's zero columns contribute nothing.  The first
-    block assigns each offset's weight gradient and later blocks add to it.
+    False, grad_input is None.  Both work on the layout of the stride phases
+    (see _phase_split): grad_out sits in a zero (C_out, D'*Hq*Wq) grid, so
+    each offset reads or accumulates one contiguous column range of a phase,
+    and the grid's zero columns contribute nothing.  The first block assigns
+    each offset's weight gradient and later blocks add to it.
+
+    The weight gradient reads the phases that conv3d cached.  A cache whose
+    phases (index 0) are None still gives the input gradient, which needs
+    only the weights, the spec and the phase extents q: the loop then runs
+    no weight GEMM, no bias sum is taken, and both parameter gradients are
+    None.
     """
     xf, x_shape, weights, spec, out_sp, q = cache
+    params = xf is not None
     grad_out = np.asarray(grad_out, dtype=np.float64)
     expected = (spec.out_channels,) + out_sp
     if grad_out.shape != expected:
@@ -298,7 +307,7 @@ def conv3d_backward(cache, grad_out, input_grad=True):
     s = spec.stride
     od, oh, ow = out_sp
 
-    grad_bias = grad_out.sum(axis=(1, 2, 3))
+    grad_bias = grad_out.sum(axis=(1, 2, 3)) if params else None
 
     _, qh, qw = q
     n = (od - 1) * qh * qw + (oh - 1) * qw + ow
@@ -308,8 +317,8 @@ def conv3d_backward(cache, grad_out, input_grad=True):
 
     # (kd, kh, kw, C_in, C_out): each offset's transposed weights contiguous
     wt = np.ascontiguousarray(weights.transpose(2, 3, 4, 1, 0))
-    gw = np.empty(spec.kernel + (c_out, c_in))
-    gxf = np.zeros_like(xf) if input_grad else None
+    gw = np.empty(spec.kernel + (c_out, c_in)) if params else None
+    gxf = np.zeros(s + (c_in, q[0] * q[1] * q[2])) if input_grad else None
     taps = []  # per kernel offset (i, j, k): its phase and its column shift
     for i, j, k in np.ndindex(*spec.kernel):
         (a, ri), (b, rj), (c, rk) = divmod(i, s[0]), divmod(j, s[1]), divmod(k, s[2])
@@ -320,15 +329,17 @@ def conv3d_backward(cache, grad_out, input_grad=True):
         g = gf[:, c0:c1]
         t = buf[: c_in * (c1 - c0)].reshape(c_in, -1)
         for f, r, o in taps:
-            xb = xf[r][:, o + c0 : o + c1]
-            if c0 == 0:
-                gw[f] = g @ xb.T
-            else:
-                gw[f] += g @ xb.T
+            if params:
+                xb = xf[r][:, o + c0 : o + c1]
+                if c0 == 0:
+                    gw[f] = g @ xb.T
+                else:
+                    gw[f] += g @ xb.T
             if input_grad:
                 np.matmul(wt[f], g, out=t)
                 gxf[r][:, o + c0 : o + c1] += t
-    grad_weights = np.ascontiguousarray(gw.transpose(3, 4, 0, 1, 2))
+    grad_weights = (np.ascontiguousarray(gw.transpose(3, 4, 0, 1, 2))
+                    if params else None)
     if not input_grad:
         return None, grad_weights, grad_bias
 
@@ -463,10 +474,12 @@ def maxpool3d_backward(cache, grad_out):
 # ---------------------------------------------------------------------------
 
 
-def relu(x):
+def relu(x, mask=True):
+    """Returns (max(x, 0), mask) with the backward's mask x > 0; with mask
+    False the mask is not built and None takes its place."""
     x = np.asarray(x, dtype=np.float64)
     out = np.maximum(x, 0.0)
-    return out, (x > 0.0)
+    return out, (x > 0.0) if mask else None
 
 
 def relu_backward(cache, grad_out):
@@ -493,6 +506,9 @@ def dense(x, weights, bias):
 
 
 def dense_backward(cache, grad_out):
+    """Returns (grad_input, grad_weights, grad_bias).  A cache whose input
+    (index 0) is None gives the input gradient alone, with None for both
+    parameter gradients."""
     x, weights = cache
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != (weights.shape[0],):
@@ -500,8 +516,9 @@ def dense_backward(cache, grad_out):
             f"dense backward: upstream shape {grad_out.shape} != ({weights.shape[0]},)"
         )
     grad_x = weights.T @ grad_out
-    grad_w = np.outer(grad_out, x)
-    return grad_x, grad_w, grad_out.copy()
+    if x is None:
+        return grad_x, None, None
+    return grad_x, np.outer(grad_out, x), grad_out.copy()
 
 
 def dropout(x, rate: float, mode: str, rng=None):

@@ -6,10 +6,14 @@ from inception modules with a single classification head.  A model is its
 architecture config (which fixes its input shape and class count), the
 ordered layer list built from it, and a flat named parameter store;
 execution walks the list forward and backward (producing a gradient for
-every parameter and for the input).  A forward records the per-layer caches
-that the backward reads, unless it is told not to: evaluation never
-back-propagates, so it keeps no cache past the next layer and its pooling
-skips the argmax.
+every parameter and for the input).  A forward records what its backward
+will compute, as one of three values (RECORD): "all" keeps every layer's
+cache, for training and for backpropagate's parameter and input gradients;
+"input" keeps what the input gradient needs and no parameter-gradient state
+(no conv stride phases, no dense inputs), so a saliency backward runs no
+weight GEMM; "none" keeps no cache past the next layer, and its pooling and
+ReLUs skip their argmax and mask, for evaluation, which never
+back-propagates.
 
 Each layer class owns its kind: `out_shape`, `param_shapes`, `forward(x,
 params, run)`, `backward(cache, g, grads)` and `convs(shape)`; shape walks,
@@ -65,13 +69,17 @@ MODEL_FORMAT_VERSION = 2
 @dataclass
 class Run:
     """Per-call state a layer forward may read: the forward mode, the dropout
-    generator (train mode only), the rate of every dropout layer, and whether
-    the caches a backward needs are recorded."""
+    generator (train mode only), the rate of every dropout layer, and which
+    backward state is recorded (one of RECORD)."""
 
     mode: str
     gen: np.random.Generator | None
     dropout_rate: float
-    record: bool
+    record: str
+
+
+# what a forward records: every gradient's state, the input gradient's, none
+RECORD = ("all", "input", "none")
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,8 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, cache, g, grads: dict, input_grad: bool = True):
-        """Return the input gradient; store parameter gradients in grads.
+        """Return the input gradient; store parameter gradients in grads,
+        unless the cache was recorded for the input gradient only.
 
         With input_grad False the caller discards the result, so a layer may
         skip computing it and return None.
@@ -126,12 +135,16 @@ class ConvLayer(Layer):
                 f"{self.name}.b": (s.out_channels,)}
 
     def forward(self, x, params, run):
-        return conv3d(x, params[f"{self.name}.w"], params[f"{self.name}.b"],
-                      self.spec)
+        out, cache = conv3d(x, params[f"{self.name}.w"],
+                            params[f"{self.name}.b"], self.spec)
+        if run.record == "input":
+            cache = (None,) + cache[1:]  # the phases feed only the weight GEMMs
+        return out, cache
 
     def backward(self, cache, g, grads, input_grad=True):
-        g, grads[f"{self.name}.w"], grads[f"{self.name}.b"] = conv3d_backward(
-            cache, g, input_grad=input_grad)
+        g, gw, gb = conv3d_backward(cache, g, input_grad=input_grad)
+        if gw is not None:
+            grads[f"{self.name}.w"], grads[f"{self.name}.b"] = gw, gb
         return g
 
     def convs(self, shape):
@@ -151,7 +164,7 @@ class PoolLayer(Layer):
             shape[1:], s.kernel, s.stride, s.padding, what=self.name)
 
     def forward(self, x, params, run):
-        out, _, cache = maxpool3d(x, self.spec, argmax=run.record)
+        out, _, cache = maxpool3d(x, self.spec, argmax=run.record != "none")
         return out, cache
 
     def backward(self, cache, g, grads, input_grad=True):
@@ -163,7 +176,7 @@ class ReluLayer(Layer):
     kind: ClassVar[str] = "relu"
 
     def forward(self, x, params, run):
-        return relu(x)
+        return relu(x, mask=run.record != "none")
 
     def backward(self, cache, g, grads, input_grad=True):
         return relu_backward(cache, g)
@@ -214,11 +227,15 @@ class DenseLayer(Layer):
                 f"{self.name}.b": (self.out_nodes,)}
 
     def forward(self, x, params, run):
-        return dense(x, params[f"{self.name}.w"], params[f"{self.name}.b"])
+        out, cache = dense(x, params[f"{self.name}.w"], params[f"{self.name}.b"])
+        if run.record == "input":
+            cache = (None, cache[1])  # the input feeds only the outer product
+        return out, cache
 
     def backward(self, cache, g, grads, input_grad=True):
-        g, grads[f"{self.name}.w"], grads[f"{self.name}.b"] = dense_backward(
-            cache, g)
+        g, gw, gb = dense_backward(cache, g)
+        if gw is not None:
+            grads[f"{self.name}.w"], grads[f"{self.name}.b"] = gw, gb
         return g
 
 
@@ -270,9 +287,9 @@ def _forward_walk(layers, x, params, run: Run):
 
     The one forward loop, for the top-level list and every inception branch:
     a layer's error gains its name, and a non-finite output raises
-    NumericError naming the innermost layer that produced it.  Unless
-    run.record, only the last layer's cache is kept, each one dropped once
-    the layer after it has run.
+    NumericError naming the innermost layer that produced it.  When
+    run.record is "none", only the last layer's cache is kept, each one
+    dropped once the layer after it has run.
     """
     entries = []
     for l in layers:
@@ -282,7 +299,7 @@ def _forward_walk(layers, x, params, run: Run):
             raise type(e)(f"layer {l.name!r}: {e}") from e
         if not np.isfinite(x).all():
             raise NumericError(f"layer {l.name!r}: non-finite activations")
-        if run.record:
+        if run.record != "none":
             entries.append(c)
         else:
             entries = [c]
@@ -339,7 +356,7 @@ class InceptionLayer(Layer):
     def forward(self, x, params, run):
         walks = [_forward_walk(branch, x, params, run) for branch in self.branches]
         out, widths = concat_channels([out for out, _ in walks])
-        if not run.record:
+        if run.record == "none":
             return out, None
         return out, ([entries for _, entries in walks], widths)
 
@@ -738,7 +755,7 @@ def layer_census(layers) -> dict:
 @dataclass
 class ForwardCache:
     """What backward reads; layers and params identify the model.  entries
-    is None when the forward recorded no backward state."""
+    is None when the forward recorded no backward state (record="none")."""
 
     layers: tuple
     params: dict
@@ -746,23 +763,36 @@ class ForwardCache:
     logits: np.ndarray
 
 
+class InputGradientCache(ForwardCache):
+    """A ForwardCache recorded with record="input": its entries hold what
+    the input gradient needs and no parameter-gradient state."""
+
+
 def forward(model: Model, x, mode: str = "eval", rng=None,
-            dropout_rate: float = 0.0, record: bool = True):
+            dropout_rate: float = 0.0, record: str = "all"):
     """Run the model on one volume; returns (probs, ForwardCache).
 
     Eval mode is deterministic and ignores rng and dropout_rate; train mode
     drops activations at every dropout layer at dropout_rate (the training
     recipe's rate; 0 applies none), drawing masks from rng (an int seed or a
-    numpy Generator).  record matters only to what the cache can do, in
-    either mode: record True keeps every layer's cache for backpropagate and
-    model_backward; record False suits a caller that reads only the
-    probabilities or cache.logits: no layer's cache outlives the layer after
-    it, pooling skips its argmax, and the returned cache holds only the
-    logits, which both backward entry points refuse.  The probabilities and
-    logits are the same bit for bit either way.
+    numpy Generator).  record (one of RECORD) matters only to what the cache
+    can do, in either mode:
+    - "all" keeps every layer's cache, for model_backward and for
+      backpropagate's parameter and input gradients;
+    - "input" keeps what the input gradient needs: convs drop their stride
+      phases and dense layers their input, so the cache is an
+      InputGradientCache, from which backpropagate returns the input
+      gradient alone and which model_backward refuses;
+    - "none" suits a caller that reads only the probabilities or
+      cache.logits: no layer's cache outlives the layer after it, pooling
+      skips its argmax and ReLUs their mask, and the returned cache holds
+      only the logits, which both backward entry points refuse.
+    The probabilities and logits are the same bit for bit for every value.
     """
     if mode not in ("train", "eval"):
         raise ValidationError(f"forward mode must be 'train' or 'eval', got {mode!r}")
+    if record not in RECORD:
+        raise ValidationError(f"forward record must be one of {RECORD}, got {record!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != model.input_shape:
         raise ValidationError(
@@ -775,15 +805,19 @@ def forward(model: Model, x, mode: str = "eval", rng=None,
     run = Run(mode, np.random.default_rng(rng) if mode == "train" else None,
               dropout_rate, record)
     probs, entries = _forward_walk(model.layers, x, model.params, run)
-    return probs, ForwardCache(model.layers, model.params,
-                               entries if record else None, entries[-1])
+    if record == "none":
+        return probs, ForwardCache(model.layers, model.params, None, entries[-1])
+    cls = InputGradientCache if record == "input" else ForwardCache
+    return probs, cls(model.layers, model.params, entries, entries[-1])
 
 
 def backpropagate(model: Model, cache: ForwardCache, grad_logits):
     """Push a gradient at the logits back through the net.
 
-    Returns (grads, grad_input): a gradient for every parameter tensor plus
-    the gradient with respect to the model input.
+    Returns (grads, grad_input): the gradient with respect to the model
+    input, and a gradient for every parameter tensor from a record="all"
+    cache or none ({}) from a record="input" one.  A record="none" cache is
+    refused.
     """
     return _backpropagate(model, cache, grad_logits, input_grad=True)
 
@@ -794,8 +828,13 @@ def _backpropagate(model: Model, cache: ForwardCache, grad_logits,
         raise ValidationError("cache was recorded by a different model (stale cache)")
     if cache.entries is None:
         raise ValidationError(
-            "the forward recorded no backward state (record=False); "
-            "run forward with record=True to back-propagate")
+            "the forward recorded no backward state (record='none'); "
+            "run forward with record='all' to back-propagate")
+    if not input_grad and isinstance(cache, InputGradientCache):
+        raise ValidationError(
+            "the forward recorded no parameter-gradient state "
+            "(record='input'); run forward with record='all' for parameter "
+            "gradients")
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != cache.logits.shape:
         raise ValidationError(
@@ -811,6 +850,7 @@ def model_backward(model: Model, cache: ForwardCache, true_class: int):
     """Cross-entropy gradients for every parameter; returns (grads, loss).
 
     Training never reads the model-input gradient, so it is not computed.
+    The cache must come from a record="all" forward.
     """
     _, loss, grad_logits = softmax_xent(cache.logits, true_class)
     grads, _ = _backpropagate(model, cache, grad_logits, input_grad=False)

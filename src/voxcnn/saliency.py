@@ -3,7 +3,9 @@
 A saliency map is the gradient of a class's pre-softmax score with respect
 to the input, reduced over the 3 channels by the maximum absolute value and
 normalized to [0, 1].  Working at the logit rather than the probability
-keeps gradients alive when the softmax saturates.
+keeps gradients alive when the softmax saturates.  Its forward records for
+the input gradient only (record="input"), so the backward runs no weight
+GEMM and builds no parameter gradient.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .metrics import CLASSES
 from .models import Model, backpropagate, forward
 
 
@@ -33,7 +36,7 @@ def saliency_map(model: Model, x, class_id: int) -> SaliencyVolume:
         raise ValidationError(
             f"class id {class_id} out of range for {model.class_count} classes"
         )
-    _, cache = forward(model, x, mode="eval")
+    _, cache = forward(model, x, mode="eval", record="input")
     grad_logits = np.zeros(model.class_count)
     grad_logits[class_id] = 1.0
     _, grad_input = backpropagate(model, cache, grad_logits)
@@ -49,15 +52,17 @@ def class_mean_saliency(model: Model, dataset, class_id: int,
     """Voxelwise mean of per-sample maps over samples labeled `class_id`.
 
     `ids` restricts the pool (defaults to the whole dataset); the mean map
-    is renormalized to peak 1.
+    is renormalized to peak 1.  Samples are chosen by `dataset.label_of`,
+    the class name (metrics.CLASSES) of a sample's label, so only the
+    chosen volumes are loaded; an unlabeled sample in the pool is refused.
     """
     pool = dataset.ids if ids is None else tuple(ids)
+    name = CLASSES[class_id] if 0 <= class_id < len(CLASSES) else None
+    chosen = [sid for sid in pool if dataset.label_of(sid) == name]
     acc = None
     count = 0
-    for sid in pool:
-        x, y = dataset.example(sid)
-        if y != class_id:
-            continue
+    for sid in chosen:
+        x, _ = dataset.example(sid)
         m = saliency_map(model, x, class_id)
         acc = m.data.copy() if acc is None else acc + m.data
         count += 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .kernels import softmax_xent
-from .metrics import classwise_metrics, confusion_matrix
+from .metrics import CLASSES, classwise_metrics, confusion_matrix
 from .models import Model, build_model, forward, model_backward
 from .seeding import derive_seed
 from .volumes import parse_key_values
@@ -160,12 +160,23 @@ class ArrayDataset:
     def ids(self) -> tuple:
         return tuple(self._examples)
 
-    def example(self, sample_id):
+    def _pair(self, sample_id):
         try:
-            x, y = self._examples[sample_id]
+            return self._examples[sample_id]
         except KeyError:
             raise ValidationError(f"unknown sample id {sample_id!r}") from None
+
+    def example(self, sample_id):
+        x, y = self._pair(sample_id)
         return np.asarray(x, dtype=np.float64), int(y)
+
+    def label_of(self, sample_id) -> str:
+        """The class name (metrics.CLASSES) of a sample's label index."""
+        y = int(self._pair(sample_id)[1])
+        if y >= len(CLASSES):
+            raise ValidationError(
+                f"sample {sample_id!r}: label index {y} names no class")
+        return CLASSES[y]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +334,7 @@ def evaluate(model: Model, dataset, ids) -> EvalResult:
     loss_sum = 0.0
     for sid in ids:
         x, y = dataset.example(sid)
-        probs, cache = forward(model, x, mode="eval", record=False)
+        probs, cache = forward(model, x, mode="eval", record="none")
         _, loss, _ = softmax_xent(cache.logits, y)
         loss_sum += loss
         rows.append(probs)

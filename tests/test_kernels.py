@@ -194,6 +194,26 @@ class TestConv3d:
             assert len(blocks) >= 3
             assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
 
+    @pytest.mark.parametrize("shrunk", [False, True], ids=["one-block", "multi-block"])
+    @pytest.mark.parametrize("cin, cout, sp, k, s, p", CONV_CASES)
+    def test_phase_less_backward_matches_loop_reference(self, monkeypatch, shrunk,
+                                                        cin, cout, sp, k, s, p):
+        """A cache without its stride phases gives the loop reference's input
+        gradient and None for both parameter gradients, on every case of
+        CONV_CASES, in one column block and in at least three."""
+        if shrunk:
+            shrink_blocks(monkeypatch)
+        rng = np.random.default_rng(sum(sp) + 7 * cin)
+        x = rng.standard_normal((cin,) + sp)
+        w = rng.standard_normal((cout, cin) + k)
+        out, cache = conv3d(x, w, rng.standard_normal(cout),
+                            ConvSpec(cin, cout, k, s, p))
+        g = rng.standard_normal(out.shape)
+        gx, gw, gb = conv3d_backward((None,) + cache[1:], g, input_grad=True)
+        assert gw is None and gb is None
+        assert_allclose(gx, conv3d_backward_loops(x, w, g, s, p)[0],
+                        rtol=1e-12, atol=1e-12)
+
     def test_backward_without_input_gradient(self, monkeypatch):
         """input_grad=False returns None for the input gradient and the same
         weight and bias gradients, bit for bit, at the real block budget and
@@ -454,6 +474,16 @@ class TestDense:
         with pytest.raises(ValidationError):
             dense(np.zeros(5), np.zeros((3, 4)), np.zeros(3))
 
+    def test_backward_without_input(self):
+        """A cache without its input gives the same input gradient bit for
+        bit and None for both parameter gradients."""
+        rng = np.random.default_rng(41)
+        x, w, g = rng.standard_normal(6), rng.standard_normal((2, 6)), rng.standard_normal(2)
+        _, cache = dense(x, w, np.zeros(2))
+        gx, gw, gb = dense_backward((None, cache[1]), g)
+        assert gw is None and gb is None
+        assert_array_equal(gx, dense_backward(cache, g)[0])
+
 
 class TestRelu:
     def test_forward_and_backward(self):
@@ -462,6 +492,14 @@ class TestRelu:
         assert_array_equal(out, [0.0, 0.0, 0.0, 1.5, 3.0])
         g = np.ones_like(x)
         assert_array_equal(relu_backward(cache, g), [0.0, 0.0, 0.0, 1.0, 1.0])
+
+
+    def test_without_mask(self):
+        """mask=False gives the same output bit for bit and no mask."""
+        x = np.random.default_rng(1).standard_normal((2, 3, 4, 5))
+        out, mask = relu(x, mask=False)
+        assert mask is None
+        assert_array_equal(out, relu(x)[0])
 
 
 class TestDropout:

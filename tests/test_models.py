@@ -384,19 +384,19 @@ class TestForward:
 
     @pytest.mark.parametrize("preset", MICRO_PRESETS + TOY_PRESETS)
     def test_unrecorded_forward_matches_recorded(self, preset):
-        """record=False gives the same probabilities and logits bit for bit,
-        in eval mode and in train mode with the same dropout masks."""
+        """record="none" gives the same probabilities and logits bit for
+        bit, in eval mode and in train mode with the same dropout masks."""
         model = micro_model(preset, seed=12)
         x = np.random.default_rng(15).normal(size=model.input_shape)
         for kw in (dict(mode="eval"),
                    dict(mode="train", rng=4, dropout_rate=0.5)):
-            p1, c1 = forward(model, x, record=True, **kw)
-            p2, c2 = forward(model, x, record=False, **kw)
+            p1, c1 = forward(model, x, record="all", **kw)
+            p2, c2 = forward(model, x, record="none", **kw)
             assert np.array_equal(p1, p2), kw
             assert np.array_equal(c1.logits, c2.logits), kw
 
     def test_unrecorded_cache_holds_only_logits(self):
-        """A record=False cache keeps no array but the logits (besides the
+        """A record="none" cache keeps no array but the logits (besides the
         model's own layers and parameters), and the call peaks lower than a
         recording one."""
         model = micro_model("vgg16-3d-toy", seed=1)
@@ -405,7 +405,7 @@ class TestForward:
         for record in (True, False):
             tracemalloc.start()
             try:
-                _, cache = forward(model, x, record=record)
+                _, cache = forward(model, x, record="all" if record else "none")
                 peaks[record] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -415,6 +415,35 @@ class TestForward:
         assert set(held) == {"entries", "logits"}
         assert held["logits"].shape == (model.class_count,)
         assert peaks[False] < peaks[True]
+
+    def test_input_only_cache_holds_no_parameter_gradient_state(self):
+        """A record="input" vgg16-3d-toy cache holds no conv stride phases
+        and no dense inputs, and retains less after the call than a
+        record="all" cache."""
+        model = micro_model("vgg16-3d-toy", seed=1)
+        x = np.random.default_rng(16).random(model.input_shape)
+        held = {}
+        for record in ("all", "input"):
+            tracemalloc.start()
+            try:
+                _, cache = forward(model, x, record=record)
+                held[record] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        kinds = {"conv3d": 0, "dense": 0}
+        for layer, entry in zip(model.layers, cache.entries):
+            if layer.kind in kinds:
+                assert entry[0] is None, layer.name
+                kinds[layer.kind] += 1
+        assert kinds == {"conv3d": 13, "dense": 3}
+        assert held["input"] < held["all"]
+
+    def test_record_must_be_a_known_value(self):
+        model = micro_model("alexnet3d-micro")
+        x = np.zeros(model.input_shape)
+        for bad in (True, False, "inputs"):
+            with pytest.raises(ValidationError, match="record"):
+                forward(model, x, record=bad)
 
     def test_train_with_zero_dropout_matches_eval(self):
         model = micro_model("alexnet3d-micro")
@@ -599,11 +628,34 @@ class TestBackward:
         backward state."""
         model = micro_model("alexnet3d-micro")
         x = np.random.default_rng(17).normal(size=(3, 9, 9, 9))
-        _, cache = forward(model, x, record=False)
+        _, cache = forward(model, x, record="none")
         with pytest.raises(ValidationError, match="recorded no backward state"):
             model_backward(model, cache, 0)
         with pytest.raises(ValidationError, match="recorded no backward state"):
             backpropagate(model, cache, np.ones(3))
+
+    @pytest.mark.parametrize("preset", MICRO_PRESETS + TOY_PRESETS)
+    def test_input_only_gradient_equals_full(self, preset):
+        """A record="input" cache gives the same input gradient as a
+        record="all" one, bit for bit, and no parameter gradient."""
+        model = micro_model(preset, seed=8)
+        x = np.random.default_rng(18).normal(size=model.input_shape)
+        onehot = np.eye(model.class_count)[1]
+        _, full = backpropagate(model, forward(model, x)[1], onehot)
+        grads, only = backpropagate(model, forward(model, x, record="input")[1],
+                                    onehot)
+        assert grads == {}
+        assert np.array_equal(only, full)
+
+    def test_input_only_cache_rejected_by_model_backward(self):
+        """model_backward refuses a record="input" cache before any layer
+        runs, naming the missing parameter-gradient state."""
+        model = micro_model("googlenet3d-micro")
+        x = np.random.default_rng(19).normal(size=model.input_shape)
+        _, cache = forward(model, x, record="input")
+        with pytest.raises(ValidationError,
+                           match="recorded no parameter-gradient state"):
+            model_backward(model, cache, 0)
 
     def test_cross_architecture_cache_rejected(self):
         x = np.random.default_rng(13).normal(size=(3, 9, 9, 9))

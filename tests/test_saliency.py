@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import voxcnn.models
+import voxcnn.saliency
 from voxcnn.errors import ValidationError
 from voxcnn.models import build_model, forward
 from voxcnn.presets import arch_preset
@@ -14,6 +16,7 @@ from voxcnn.saliency import (
     saliency_map,
 )
 from voxcnn.training import ArrayDataset
+from voxcnn.volumes import Manifest, VolumeDataset, VolumeRecord
 
 
 def micro(seed=0):
@@ -113,6 +116,29 @@ class TestSaliencyMap:
         with pytest.raises(ValidationError):
             saliency_map(model, np.zeros((3, 9, 9, 9)), 3)
 
+    def test_lookup_sites(self, monkeypatch):
+        """saliency_map calls voxcnn.saliency.forward with record="input" and
+        then voxcnn.saliency.backpropagate, and its convs reach
+        voxcnn.models.conv3d_backward: a wrapper set at each of these
+        globals sees every call, as the benchmark's tracer needs."""
+        calls = []
+
+        def spy(owner, name, note=lambda args, kwargs: None):
+            real = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append((name, note(args, kwargs)))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        spy(voxcnn.saliency, "forward", lambda a, kw: kw.get("record", "all"))
+        spy(voxcnn.saliency, "backpropagate")
+        spy(voxcnn.models, "conv3d_backward")
+        saliency_map(micro(), np.zeros((3, 9, 9, 9)), 1)
+        assert calls == ([("forward", "input"), ("backpropagate", None)]
+                         + [("conv3d_backward", None)] * 5)
+
 
 class TestClassMeanSaliency:
     def _dataset(self, n=4, seed=0):
@@ -163,6 +189,36 @@ class TestClassMeanSaliency:
         x, _ = ds.example("a0")
         assert_allclose(only_a0.data, saliency_map(model, x, 0).data,
                         atol=1e-15)
+
+    def _volumes(self, labels):
+        """A VolumeDataset of 9x9x9 volumes, one per label (None: unlabeled)."""
+        rng = np.random.default_rng(3)
+        records = {f"v{i}": VolumeRecord(id=f"v{i}", data=rng.random((3, 9, 9, 9)),
+                                         label=label)
+                   for i, label in enumerate(labels)}
+        return VolumeDataset(Manifest(records=(), metadata={}), records,
+                             dict.fromkeys(records))
+
+    def test_loads_only_the_class_volumes(self, monkeypatch):
+        """Samples are chosen by label first; only the chosen volumes are
+        loaded."""
+        ds = self._volumes(["AD", "CN", "AD", "MCI", "CN"])
+        loaded = []
+        real = VolumeDataset.example
+
+        def example(self, sample_id):
+            loaded.append(sample_id)
+            return real(self, sample_id)
+
+        monkeypatch.setattr(VolumeDataset, "example", example)
+        class_mean_saliency(micro(), ds, 2)
+        assert loaded == ["v1", "v4"]
+
+    def test_unlabeled_sample_rejected(self):
+        ds = self._volumes(["AD", None])
+        with pytest.raises(ValidationError, match="unlabeled"):
+            class_mean_saliency(micro(), ds, 0)
+        assert class_mean_saliency(micro(), ds, 0, ids=["v0"]).peak > 0
 
     def test_absent_class_rejected(self):
         model = micro()

@@ -342,14 +342,14 @@ class TestEvaluate:
         probs, loss_sum = [], 0.0
         for sid in ds.ids:
             x, y = ds.example(sid)
-            p, cache = forward(model, x, mode="eval", record=True)
+            p, cache = forward(model, x, mode="eval", record="all")
             probs.append(p)
             loss_sum += softmax_xent(cache.logits, y)[1]
         assert np.array_equal(res.probs, np.stack(probs))
         assert res.mean_loss == loss_sum / len(ds.ids)
 
     def test_forward_lookup_sites(self, monkeypatch):
-        """evaluate calls voxcnn.training.forward with record=False, and its
+        """evaluate calls voxcnn.training.forward with record="none", and its
         pools reach voxcnn.models.maxpool3d with argmax=False: a wrapper set
         at either global sees every call, as the benchmark's tracer needs."""
         records, argmaxes = [], []
@@ -357,7 +357,7 @@ class TestEvaluate:
         real_pool = voxcnn.models.maxpool3d
 
         def forward_spy(*args, **kwargs):
-            records.append(kwargs.get("record", True))
+            records.append(kwargs.get("record", "all"))
             return real_forward(*args, **kwargs)
 
         def pool_spy(x, spec, argmax=True):
@@ -369,7 +369,7 @@ class TestEvaluate:
         model = build_model(arch_preset("googlenet3d-micro"))
         ds = micro_dataset(n_per_class=1)
         evaluate(model, ds, ds.ids)
-        assert records == [False] * 3
+        assert records == ["none"] * 3
         assert argmaxes and not any(argmaxes)
 
 
@@ -558,3 +558,12 @@ class TestArrayDataset:
         ds = micro_dataset()
         with pytest.raises(ValidationError, match="nope"):
             ds.example("nope")
+
+    def test_label_of_names_the_class(self):
+        ds = ArrayDataset({"a": (np.zeros((3, 2, 2, 2)), 2),
+                           "b": (np.zeros((3, 2, 2, 2)), 3)})
+        assert ds.label_of("a") == "CN"
+        with pytest.raises(ValidationError, match="names no class"):
+            ds.label_of("b")
+        with pytest.raises(ValidationError, match="nope"):
+            ds.label_of("nope")
