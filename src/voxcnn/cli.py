@@ -20,6 +20,7 @@ from .kernels import ConvSpec, op_count
 from .metrics import (
     CLASSES,
     auc,
+    class_index,
     classwise_csv,
     classwise_metrics,
     confusion_matrix,
@@ -324,14 +325,11 @@ def cmd_saliency(args) -> int:
     _check_model(dataset, model.config, args.model)
     ids = _select_ids(dataset, args.split, args.seed)
     class_names = [c.strip() for c in args.classes.split(",") if c.strip()]
-    for cname in class_names:
-        if cname not in CLASSES:
-            raise ValidationError(f"unknown class {cname!r}")
+    class_ids = [class_index(cname) for cname in class_names]
     mask = load_mask(args.mask) if args.mask else None
     os.makedirs(args.out, exist_ok=True)
-    for cname in class_names:
-        vol = class_mean_saliency(model, dataset, CLASSES.index(cname),
-                                  ids=ids)
+    for cname, c in zip(class_names, class_ids):
+        vol = class_mean_saliency(model, dataset, c, ids=ids)
         data = np.stack([vol.data] * 3).astype(np.float32)
         rec = VolumeRecord(id=f"saliency_{cname}", data=data, label=cname)
         path = os.path.join(args.out, f"saliency_{cname}.vvol")

@@ -8,9 +8,10 @@ output together with whatever the matching backward kernel needs (the
 
 conv3d splits the padded input into its stride phases once (_phase_split
 describes the layout) and caches them for conv3d_backward.  The forward runs
-one GEMM per depth offset against a panel of the in-plane shifts; the
-backward runs one GEMM per kernel offset for the weight gradient and one for
-the input gradient.  Every GEMM reads or writes a contiguous column range of
+one GEMM per depth phase against a panel of the in-plane shifts, with that
+phase's depth slices of the weights stacked into one matrix; the backward
+runs one GEMM per kernel offset for the weight gradient and one for the
+input gradient.  Every GEMM reads or writes a contiguous column range of
 a phase, so no per-voxel window tensor is copied, and both kernels run their
 offsets inside L2-sized column blocks (_column_blocks).  conv3d_backward's
 input_grad=False skips the input gradient, which a network's first layer in
@@ -199,15 +200,17 @@ _MIN_COLUMNS = 8192
 
 
 def _column_blocks(n, rows):
-    """[c0, c1) blocks of n grid columns, each at most _BLOCK_VALUES values
-    across the `rows` rows of the block-wide arrays that every kernel offset
-    of a block reuses, or _MIN_COLUMNS columns if that is wider.
+    """[c0, c1) blocks of n columns, each at most _BLOCK_VALUES values
+    across the `rows` rows of the block-wide arrays that a block reuses, or
+    _MIN_COLUMNS columns if that is wider.
 
-    conv3d and conv3d_backward run their kernel-offset loop inside each
-    block, so those arrays (the output or upstream-gradient block, and the
-    GEMM result that is added to it) stay in L2 across the offsets, instead
-    of every offset streaming all n columns from memory again.  The panel
-    and phase columns that each offset reads once are not counted.
+    conv3d_backward runs its kernel-offset loop inside each block of grid
+    columns, so the upstream-gradient block and the GEMM result added to it
+    stay in L2 across the offsets, instead of every offset streaming all n
+    columns from memory again.  conv3d blocks its panel columns: the stacked
+    product of a block stays in L2 while its row groups are added into the
+    output grid.  The panel and phase columns that are read once are not
+    counted.
     """
     width = max(_MIN_COLUMNS, _BLOCK_VALUES // rows)
     return [(c0, min(c0 + width, n)) for c0 in range(0, n, width)]
@@ -220,10 +223,14 @@ def conv3d(x, weights, bias, spec: ConvSpec):
     Returns (output, cache) with output (C_out, D', H', W'), C-contiguous.
 
     For each depth phase rd, the kh*kw in-plane shifts of that phase are
-    stacked into one (kh*kw*C_in, m) panel; each depth offset i = sd*a + rd
-    is then one GEMM with K = kh*kw*C_in over panel columns
-    [a*Hq*Wq, a*Hq*Wq + n), accumulated into the output grid (see
-    _phase_split) block by block (see _column_blocks).  The cache is
+    stacked into one (kh*kw*C_in, m) panel, and its na depth offsets
+    i = sd*a + rd into one (na*C_out, kh*kw*C_in) matrix of weight slices.
+    Each column block of the panel (see _column_blocks, over the widest
+    phase's m) is multiplied by that matrix once, into one reused buffer;
+    row group a of the product holds offset i's terms for panel columns
+    [c0, c1), which it adds into the output grid (see _phase_split) at
+    columns [c0 - a*Hq*Wq, c1 - a*Hq*Wq), clipped to [0, n).  So each panel
+    column is read once per phase, not once per depth offset.  The cache is
     (phases, input shape, weights, spec, output extents, q);
     bench/tracing.py reads the input shape (index 1) and the spec (index 3).
     """
@@ -257,20 +264,33 @@ def conv3d(x, weights, bias, spec: ConvSpec):
     # (kd, C_out, kh*kw*C_in): depth slice i of the weights, rows in panel order
     wt = np.ascontiguousarray(weights.transpose(2, 0, 3, 4, 1)).reshape(kd, c_out, -1)
     grid = np.zeros((c_out, od * plane))
-    blocks = _column_blocks(n, 2 * c_out)  # a grid block and its GEMM product
+    na_max = -(-kd // sd)
+    # a grid block and the stacked product, over the widest phase's panel
+    blocks = _column_blocks((na_max - 1) * plane + n, (na_max + 1) * c_out)
+    buf = np.empty(na_max * c_out * (blocks[0][1] - blocks[0][0]))
     for rd in range(min(sd, kd)):
-        depths = range(rd, kd, sd)
-        m = (len(depths) - 1) * plane + n
+        na = len(range(rd, kd, sd))
+        m = (na - 1) * plane + n
         panel = np.empty((kh, kw, c_in, m))
         for j, k in np.ndindex(kh, kw):
             (b, rj), (c, rk) = divmod(j, sh), divmod(k, sw)
             o = b * qw + c
             panel[j, k] = xf[rd, rj, rk, :, o : o + m]
         panel = panel.reshape(-1, m)
+        ws = wt[rd::sd].reshape(na * c_out, -1)  # depth offsets rd, rd + sd, ...
         for c0, c1 in blocks:
-            for a, i in enumerate(depths):
+            if c0 >= m:
+                break
+            c1 = min(c1, m)
+            prod = buf[: na * c_out * (c1 - c0)].reshape(na * c_out, -1)
+            np.matmul(ws, panel[:, c0:c1], out=prod)
+            for a in range(na):
+                # panel column p + a*plane meets grid column p at offset a
                 o = a * plane
-                grid[:, c0:c1] += wt[i] @ panel[:, o + c0 : o + c1]
+                lo, hi = max(c0 - o, 0), min(c1 - o, n)
+                if lo < hi:
+                    grid[:, lo:hi] += prod[a * c_out : (a + 1) * c_out,
+                                           lo + o - c0 : hi + o - c0]
         del panel  # free it before the next depth phase's panel is built
     out = grid.reshape(c_out, od, qh, qw)[:, :, :oh, :ow] + bias[:, None, None, None]
     cache = (xf, x.shape, weights, spec, out_sp, q)
@@ -524,8 +544,10 @@ def dense_backward(cache, grad_out):
 def dropout(x, rate: float, mode: str, rng=None):
     """Inverted dropout: zero with probability `rate`, scale survivors.
 
-    Eval mode is a pure identity.  Returns (output, mask); the mask already
-    includes the 1/(1-rate) survivor scaling so backward is a plain product.
+    Returns (output, mask); the mask already includes the 1/(1-rate)
+    survivor scaling so backward is a plain product.  Eval mode and rate 0
+    return x itself and None for the mask, which dropout_backward reads as
+    the identity; no layer changes its input in place, so x is not copied.
     """
     x = np.asarray(x, dtype=np.float64)
     if not 0.0 <= rate < 1.0:
@@ -533,8 +555,7 @@ def dropout(x, rate: float, mode: str, rng=None):
     if mode not in ("train", "eval"):
         raise ValidationError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval" or rate == 0.0:
-        mask = np.ones_like(x)
-        return x.copy(), mask
+        return x, None
     gen = np.random.default_rng(rng)
     keep = gen.random(x.shape) >= rate
     mask = keep / (1.0 - rate)
@@ -542,7 +563,8 @@ def dropout(x, rate: float, mode: str, rng=None):
 
 
 def dropout_backward(mask, grad_out):
-    return np.asarray(grad_out, dtype=np.float64) * mask
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    return grad_out if mask is None else grad_out * mask
 
 
 def concat_channels(inputs):

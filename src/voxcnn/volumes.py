@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import CLASSES
+from .metrics import CLASSES, class_index
 from .seeding import derive_seed
 
 VOLUME_MAGIC = b"VVOL"
@@ -523,9 +523,7 @@ def _blob_center(extents) -> tuple:
 
 def make_phantom(params: PhantomParams, label: str, rng) -> VolumeRecord:
     """One 3-channel phantom for `label`, fully driven by `rng`."""
-    if label not in CLASSES:
-        raise ValidationError(f"unknown class {label!r}")
-    c = CLASSES.index(label)
+    c = class_index(label)
     extents = params.extents
     center = tuple((e - 1) / 2 for e in extents)
     head = _ellipsoid_distance(extents, center,
@@ -564,9 +562,7 @@ def make_phantom(params: PhantomParams, label: str, rng) -> VolumeRecord:
 
 def region_mask(params: PhantomParams, label: str) -> np.ndarray:
     """Ground-truth blob neighborhood for `label`: mean radius + jitter + 1."""
-    if label not in CLASSES:
-        raise ValidationError(f"unknown class {label!r}")
-    c = CLASSES.index(label)
+    c = class_index(label)
     radius = params.region_radii[c] + params.jitter + 1.0
     return _ellipsoid_distance(params.extents, _blob_center(params.extents),
                                (radius,) * 3) <= 1.0

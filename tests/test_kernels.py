@@ -59,10 +59,11 @@ CONV_CASES = [
 
 
 def shrink_blocks(monkeypatch):
-    """Makes every conv GEMM run in column blocks of (n - 1) // 3 of its n
-    columns, through the real block helper with a shrunken budget and no
-    minimum width: at least three blocks, the last one partial.  Returns the
-    list of every call's blocks."""
+    """Makes every conv GEMM run in column blocks of (n - 1) // 3 of the n
+    columns that the kernel blocks (the widest depth phase's panel columns in
+    the forward, the grid columns in the backward), through the real block
+    helper with a shrunken budget and no minimum width: at least three
+    blocks, the last one partial.  Returns the list of every call's blocks."""
     real = kernels._column_blocks
     seen = []
     monkeypatch.setattr(kernels, "_MIN_COLUMNS", 1)
@@ -194,6 +195,36 @@ class TestConv3d:
             assert len(blocks) >= 3
             assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
 
+    @pytest.mark.parametrize("cin, cout, sp, k, s, p", CONV_CASES)
+    def test_blocks_below_one_depth_plane(self, monkeypatch,
+                                          cin, cout, sp, k, s, p):
+        """With the forward's column blocks one column narrower than a depth
+        plane (Hq*Wq columns), the forward still equals the loop reference
+        on every case of CONV_CASES.  Where a depth phase stacks several
+        depth offsets, a block then meets some row group of the product in
+        a clipped column range and misses others entirely."""
+        rng = np.random.default_rng(sum(sp) + 7 * cin)
+        x = rng.standard_normal((cin,) + sp)
+        w = rng.standard_normal((cout, cin) + k)
+        b = rng.standard_normal(cout)
+        spec = ConvSpec(cin, cout, k, s, p)
+        _, qh, qw = conv3d(x, w, b, spec)[1][-1]  # the phase extents q
+        plane = qh * qw
+        real = kernels._column_blocks
+        seen = []
+        monkeypatch.setattr(kernels, "_MIN_COLUMNS", 1)
+
+        def blocks(n, rows):
+            monkeypatch.setattr(kernels, "_BLOCK_VALUES", (plane - 1) * rows)
+            seen.append(real(n, rows))
+            return seen[-1]
+
+        monkeypatch.setattr(kernels, "_column_blocks", blocks)
+        out, _ = conv3d(x, w, b, spec)
+        assert_allclose(out, conv3d_loops(x, w, b, s, p), rtol=1e-12, atol=1e-12)
+        assert len(seen) == 1
+        assert seen[0][0] == (0, plane - 1)
+
     @pytest.mark.parametrize("shrunk", [False, True], ids=["one-block", "multi-block"])
     @pytest.mark.parametrize("cin, cout, sp, k, s, p", CONV_CASES)
     def test_phase_less_backward_matches_loop_reference(self, monkeypatch, shrunk,
@@ -257,6 +288,35 @@ class TestConv3d:
         finally:
             tracemalloc.stop()
         assert peak < window
+
+    def test_peak_memory_holds_one_stacked_block(self):
+        """An 8->8 k3 conv at (32, 40, 32) allocates at most its panel, its
+        stride phases, its output grid, its output and one column block of
+        the depth-stacked product: a product over all of the panel's columns
+        would overshoot that by about 9 MB."""
+        spec, sp = ConvSpec(8, 8, 3, 1, 1), (32, 40, 32)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((8,) + sp)
+        w = rng.standard_normal((8, 8, 3, 3, 3))
+        b = np.zeros(8)
+        od, oh, ow = spec.out_spatial(sp)
+        qd, qh, qw = (e + 2 for e in sp)
+        plane = qh * qw
+        n = (od - 1) * plane + (oh - 1) * qw + ow
+        m = 2 * plane + n  # the panel's columns: three depth offsets, one phase
+        width = max(kernels._MIN_COLUMNS, kernels._BLOCK_VALUES // (4 * 8))
+        budget = 8 * (9 * 8 * m          # panel
+                      + 8 * qd * plane   # phases
+                      + 8 * od * plane   # output grid
+                      + 8 * od * oh * ow  # output
+                      + 3 * 8 * width)   # one stacked product block
+        tracemalloc.start()
+        try:
+            conv3d(x, w, b, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
     def test_shape_mismatch_rejected(self):
         spec = ConvSpec(2, 3, (3, 3, 3))
@@ -507,8 +567,18 @@ class TestDropout:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 4))
         out, mask = dropout(x, 0.5, "eval", rng=7)
-        assert_array_equal(out, x)
-        assert_array_equal(mask, np.ones_like(x))
+        assert out is x
+        assert mask is None
+
+    def test_zero_rate_passes_through(self):
+        """Train mode at rate 0 returns its input and no mask, and the
+        backward hands the upstream gradient on unchanged."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((3, 4))
+        out, mask = dropout(x, 0.0, "train", rng=7)
+        assert out is x and mask is None
+        g = rng.standard_normal((3, 4))
+        assert dropout_backward(mask, g) is g
 
     def test_train_scaling_preserves_expectation(self):
         """Survivors are scaled by 1/(1-rate); sample mean stays near the raw mean."""
