@@ -48,7 +48,7 @@ with tempfile.TemporaryDirectory() as tmp:
     # per-class region mask marks where that blob can appear.
     for cname in ("AD", "MCI", "CN"):
         mask = load_mask(os.path.join(root, "masks", f"mask_{cname}.vvol"))
-        ids = dataset.ids_of_class(cname)
+        ids = [i for i in dataset.ids if dataset.label_of(i) == cname]
         gm_mass = float(np.mean(
             [dataset.example(i)[0][0][mask].sum() for i in ids]))
         print(f"{cname}: mask {mask.mean():6.2%} of voxels, "

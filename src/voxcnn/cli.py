@@ -182,12 +182,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_one(name, result, lines, out_files):
-    cm = confusion_matrix(result.predictions, result.labels)
-    lines.append(f"== {name} ==")
-    lines.append(render_confusion(cm))
+def _report_block(name, predictions, labels, lines, out_files) -> float:
+    """Append one result's confusion matrix and class-wise metrics to the
+    report lines, add its class-wise CSV file; returns its accuracy."""
+    cm = confusion_matrix(predictions, labels)
     metrics = classwise_metrics(cm)
-    lines.append(classwise_csv(metrics).rstrip())
+    lines += [f"== {name} ==", render_confusion(cm),
+              classwise_csv(metrics).rstrip()]
+    out_files[f"classwise_{name}.csv"] = classwise_csv(metrics)
+    return overall_accuracy(cm)
+
+
+def _eval_one(name, result, lines, out_files):
+    acc = _report_block(name, result.predictions, result.labels, lines,
+                        out_files)
     for c, cname in enumerate(CLASSES):
         try:
             curve = roc_curve(result.probs[:, c], result.labels, c)
@@ -198,8 +206,7 @@ def _eval_one(name, result, lines, out_files):
         out_files[f"roc_{name}_{cname}.csv"] = roc_csv(curve)
     hist = misclassification_histogram(result.predictions, result.labels)
     lines.append(histogram_csv(hist).rstrip())
-    out_files[f"classwise_{name}.csv"] = classwise_csv(metrics)
-    return overall_accuracy(cm)
+    return acc
 
 
 def cmd_eval(args) -> int:
@@ -246,13 +253,8 @@ def cmd_eval(args) -> int:
         labels = results[0].labels
         for ens_name, preds in (("ensemble-average", avg_preds),
                                 ("ensemble-vote", vote_preds)):
-            cm = confusion_matrix(preds, labels)
-            lines.append(f"== {ens_name} ==")
-            lines.append(render_confusion(cm))
-            metrics = classwise_metrics(cm)
-            lines.append(classwise_csv(metrics).rstrip())
-            out_files[f"classwise_{ens_name}.csv"] = classwise_csv(metrics)
-            summary.append((ens_name, len(ids), overall_accuracy(cm)))
+            acc = _report_block(ens_name, preds, labels, lines, out_files)
+            summary.append((ens_name, len(ids), acc))
         pred_header += ["ensemble_average", "ensemble_vote"]
         for i, row in enumerate(pred_rows):
             row += [CLASSES[avg_preds[i]], CLASSES[vote_preds[i]]]

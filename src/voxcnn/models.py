@@ -21,8 +21,11 @@ parameter tables, execution and op counts are loops over those methods.  An
 inception module is a composite of four branches of plain child layers named
 "<module>.<tag>".  A config holds the architecture only: the dropout rate is
 part of the training recipe and reaches the dropout layers through the
-forward call.  Layers call kernels by their module-global name at call
-time, so a wrapper set on e.g. `voxcnn.models.conv3d` sees every call.
+forward call.  Every config type-checks its fields when built, from Python
+or JSON alike, through `volumes.check_fields`: a wrongly typed value is a
+ValidationError naming the field, never truncated.  Layers call kernels
+by their module-global name at call time, so a wrapper set on e.g.
+`voxcnn.models.conv3d` sees every call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field, fields
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -55,6 +58,7 @@ from .kernels import (
     softmax_xent,
 )
 from .seeding import derive_seed
+from .volumes import atomic_write_bytes, check_fields, check_value
 
 CONFIG_FORMAT_VERSION = 2
 MODEL_MAGIC = b"V0XN"
@@ -251,8 +255,7 @@ class SoftmaxLayer(Layer):
         return probs, x
 
 
-@dataclass(frozen=True)
-class InceptionSpec:
+class InceptionSpec(NamedTuple):
     """Branch widths of one inception module.
 
     Four parallel branches, all stride 1 with extent-preserving padding:
@@ -268,18 +271,9 @@ class InceptionSpec:
     branch3: int
     branch4_proj: int
 
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValidationError(f"inception width {f.name} must be positive")
-
     @property
     def out_channels(self) -> int:
         return self.branch1 + self.branch2 + self.branch3 + self.branch4_proj
-
-    def to_tuple(self):
-        return (self.branch1, self.branch2_reduce, self.branch2,
-                self.branch3_reduce, self.branch3, self.branch4_proj)
 
 
 def _forward_walk(layers, x, params, run: Run):
@@ -378,12 +372,45 @@ class InceptionLayer(Layer):
 # ---------------------------------------------------------------------------
 
 
-def _tup(v):
-    return tuple(int(x) for x in v)
+def _entries(v) -> list:
+    """The numbers of a tuple field, nested ones included."""
+    return [x for e in v for x in _entries(e)] if isinstance(v, tuple) else [v]
 
 
 @dataclass(frozen=True)
-class AlexNetConfig:
+class _ArchConfig:
+    """Base of the architecture configs; subclasses declare the fields.
+
+    Building one checks every field's type (volumes.check_fields), the
+    (3, D, H, W) input shape, the class count, the length of each tuple
+    field named in `lengths`, and that every tuple entry is positive.
+    """
+
+    architecture: ClassVar[str]
+    # tuple field -> (required length, what its entries are)
+    lengths: ClassVar[dict]
+
+    def __post_init__(self):
+        check_fields(self, "architecture config")
+        shape = self.input_shape
+        if len(shape) != 4 or shape[0] != 3:
+            raise ValidationError(
+                f"input shape must be (3, D, H, W), got {shape}"
+            )
+        if self.class_count < 2:
+            raise ValidationError("class count must be at least 2")
+        for name, (n, what) in self.lengths.items():
+            if len(getattr(self, name)) != n:
+                raise ValidationError(
+                    f"{self.architecture} needs exactly {n} {what}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, tuple) and any(x < 1 for x in _entries(v)):
+                raise ValidationError(f"{f.name} entries must be positive")
+
+
+@dataclass(frozen=True)
+class AlexNetConfig(_ArchConfig):
     """Five conv stages and a three-layer dense head.
 
     The stem kernel/stride and the second-stage kernel are configurable so
@@ -392,6 +419,8 @@ class AlexNetConfig:
     """
 
     architecture: ClassVar[str] = "alexnet3d"
+    lengths: ClassVar[dict] = {"conv_widths": (5, "conv widths"),
+                               "dense_widths": (2, "hidden dense widths")}
     input_shape: tuple = (3, 157, 189, 156)
     conv_widths: tuple = (64, 128, 192, 192, 128)
     dense_widths: tuple = (128, 128)
@@ -402,22 +431,14 @@ class AlexNetConfig:
     pool_padding: int = 0
     class_count: int = 3
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_shape", _tup(self.input_shape))
-        object.__setattr__(self, "conv_widths", _tup(self.conv_widths))
-        object.__setattr__(self, "dense_widths", _tup(self.dense_widths))
-        _validate_common(self)
-        if len(self.conv_widths) != 5:
-            raise ValidationError("alexnet3d needs exactly 5 conv widths")
-        if len(self.dense_widths) != 2:
-            raise ValidationError("alexnet3d needs exactly 2 hidden dense widths")
-
 
 @dataclass(frozen=True)
-class VggConfig:
+class VggConfig(_ArchConfig):
     """Thirteen 3x3x3 convs in blocks of (2, 2, 3, 3, 3) plus 3 dense layers."""
 
     architecture: ClassVar[str] = "vgg16-3d"
+    lengths: ClassVar[dict] = {"block_widths": (5, "block widths"),
+                               "dense_widths": (2, "hidden dense widths")}
     block_sizes: ClassVar[tuple] = (2, 2, 3, 3, 3)
     input_shape: tuple = (3, 157, 189, 156)
     block_widths: tuple = (64, 128, 256, 512, 512)
@@ -425,22 +446,13 @@ class VggConfig:
     pool_padding: int = 1
     class_count: int = 3
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_shape", _tup(self.input_shape))
-        object.__setattr__(self, "block_widths", _tup(self.block_widths))
-        object.__setattr__(self, "dense_widths", _tup(self.dense_widths))
-        _validate_common(self)
-        if len(self.block_widths) != 5:
-            raise ValidationError("vgg16-3d needs exactly 5 block widths")
-        if len(self.dense_widths) != 2:
-            raise ValidationError("vgg16-3d needs exactly 2 hidden dense widths")
-
 
 @dataclass(frozen=True)
-class GoogleNetConfig:
+class GoogleNetConfig(_ArchConfig):
     """Conv/pool stem, three inception stages, one dense classification head."""
 
     architecture: ClassVar[str] = "googlenet3d"
+    lengths: ClassVar[dict] = {"stem_widths": (3, "stem widths")}
     input_shape: tuple = (3, 157, 189, 156)
     stem_widths: tuple = (64, 64, 192)
     stem_kernel: int = 7
@@ -457,26 +469,17 @@ class GoogleNetConfig:
     class_count: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", _tup(self.input_shape))
-        object.__setattr__(self, "stem_widths", _tup(self.stem_widths))
-        stages = tuple(tuple(_inception_spec(t) for t in stage)
-                       for stage in self.inception)
-        object.__setattr__(self, "inception", stages)
-        _validate_common(self)
-        if len(self.stem_widths) != 3:
-            raise ValidationError("googlenet3d needs exactly 3 stem widths")
+        super().__post_init__()
+        stages = self.inception
         if len(stages) != 3 or any(not 1 <= len(s) <= 10 for s in stages):
             raise ValidationError(
                 "googlenet3d needs 3 inception stages of 1 to 10 modules")
-
-
-def _inception_spec(t) -> InceptionSpec:
-    if isinstance(t, InceptionSpec):
-        return t
-    t = _tup(t)
-    if len(t) != 6:
-        raise ValidationError(f"an inception module needs 6 widths, got {t}")
-    return InceptionSpec(*t)
+        for t in (t for stage in stages for t in stage):
+            if len(t) != 6:
+                raise ValidationError(
+                    f"an inception module needs 6 widths, got {t}")
+        object.__setattr__(self, "inception", tuple(
+            tuple(InceptionSpec(*t) for t in stage) for stage in stages))
 
 
 ArchConfig = Union[AlexNetConfig, VggConfig, GoogleNetConfig]
@@ -485,49 +488,15 @@ _CONFIG_CLASSES = {c.architecture: c for c in
                    (AlexNetConfig, VggConfig, GoogleNetConfig)}
 
 
-def _validate_common(cfg) -> None:
-    shape = cfg.input_shape
-    if len(shape) != 4 or shape[0] != 3:
-        raise ValidationError(
-            f"input shape must be (3, D, H, W), got {shape}"
-        )
-    if min(shape[1:]) < 1:
-        raise ValidationError(f"input extents must be positive, got {shape}")
-    if cfg.class_count < 2:
-        raise ValidationError("class count must be at least 2")
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, tuple) and f.name != "input_shape" and f.name != "inception":
-            if any(isinstance(x, int) and x < 1 for x in v):
-                raise ValidationError(f"{f.name} entries must be positive")
+def _as_lists(v):
+    return [_as_lists(x) for x in v] if isinstance(v, tuple) else v
 
 
 def config_to_dict(cfg: ArchConfig) -> dict:
     d = {"architecture": cfg.architecture, "format_version": CONFIG_FORMAT_VERSION}
     for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name == "inception":
-            v = [[list(t.to_tuple()) for t in stage] for stage in v]
-        elif isinstance(v, tuple):
-            v = list(v)
-        d[f.name] = v
+        d[f.name] = _as_lists(getattr(cfg, f.name))
     return d
-
-
-def _check_like(value, default, what: str) -> None:
-    """Reject a value whose type differs from the field default's: a tuple
-    default wants a list (each entry checked against its first entry), an
-    int default an integer, a float default a number."""
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ValidationError(f"{what} must be a list, got {value!r}")
-        for v in value:
-            _check_like(v, default[0], what)
-        return
-    number = (int, float) if isinstance(default, float) else int
-    if isinstance(value, bool) or not isinstance(value, number):
-        kind = "a number" if isinstance(default, float) else "an integer"
-        raise ValidationError(f"{what} must be {kind}, got {value!r}")
 
 
 def config_from_dict(d: dict) -> ArchConfig:
@@ -540,19 +509,16 @@ def config_from_dict(d: dict) -> ArchConfig:
     if version not in (1, CONFIG_FORMAT_VERSION):
         raise ValidationError(f"unsupported config format version {version}")
     cls = _CONFIG_CLASSES[arch]
-    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {k: v for k, v in d.items()
+              if k not in ("architecture", "format_version")}
     if version == 1:
         # version 1 also held a dropout rate, which never reached training
-        defaults["dropout_rate"] = 0.5
-    kwargs = {}
-    for k, v in d.items():
-        if k in ("architecture", "format_version"):
-            continue
-        if k not in defaults:
+        check_value(kwargs.pop("dropout_rate", 0.5), 0.5,
+                    "config field 'dropout_rate'")
+    names = {f.name for f in fields(cls)}
+    for k in kwargs:
+        if k not in names:
             raise ValidationError(f"unknown config field {k!r} for {arch}")
-        _check_like(v, defaults[k], f"config field {k!r}")
-        kwargs[k] = v
-    kwargs.pop("dropout_rate", None)
     return cls(**kwargs)
 
 
@@ -564,7 +530,7 @@ def config_to_json(cfg: ArchConfig) -> str:
 def config_from_json(text: str) -> ArchConfig:
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int too long to read
         raise ValidationError(f"malformed architecture config JSON: {e}") from e
     return config_from_dict(d)
 
@@ -972,7 +938,6 @@ def load_model(data: bytes) -> Model:
 
 
 def save_model_file(model: Model, path) -> None:
-    from .volumes import atomic_write_bytes
     atomic_write_bytes(path, save_model(model))
 
 

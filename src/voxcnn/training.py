@@ -22,7 +22,7 @@ from .kernels import softmax_xent
 from .metrics import CLASSES, classwise_metrics, confusion_matrix
 from .models import Model, build_model, forward, model_backward
 from .seeding import derive_seed
-from .volumes import parse_key_values
+from .volumes import check_fields, parse_key_values
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValidationError(f"{f.name} must be finite")
+        check_fields(self, "training config")
         if self.epochs < 0:
             raise ValidationError("epochs must be non-negative")
         if self.lr0 <= 0:
@@ -71,7 +69,7 @@ class TrainConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "TrainConfig":
-        types = {f.name: int if f.type == "int" else float for f in fields(cls)}
+        types = {f.name: type(f.default) for f in fields(cls)}
         return cls(**parse_key_values(text, types, "training config"))
 
 

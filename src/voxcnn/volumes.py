@@ -28,6 +28,10 @@ an off-center GM blob whose radius and GM density grow from AD to MCI to CN,
 and a central CSF cavity that shrinks in the same order.  A binary region
 mask around the blob site is emitted per class so saliency localization can
 be scored.
+
+Config text (training config, phantom params) is `key = value` lines read
+by parse_key_values; check_fields type-checks the fields of every config
+dataclass (architecture, training, phantom), however it was built.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import struct
 import threading
@@ -113,6 +118,44 @@ def parse_key_values(text: str, types: dict, what: str) -> dict:
             raise ValidationError(
                 f"{what} line {lineno}: {key} must be finite, got {value!r}")
     return values
+
+
+def check_fields(config, what: str) -> None:
+    """Check every dataclass field of `config` against its default's type
+    and store the checked value (frozen dataclasses included).
+
+    An int default takes an integer but not a bool, stored as int (numpy
+    integers too); a float default takes a finite real, stored as float; a
+    tuple default takes a list or tuple, each entry checked like the
+    default's first entry, stored as a tuple.  Anything else raises
+    ValidationError naming `what` and the field.
+    """
+    for f in fields(config):
+        value = check_value(getattr(config, f.name), f.default,
+                            f"{what} field {f.name!r}")
+        object.__setattr__(config, f.name, value)
+
+
+def check_value(value, like, what: str):
+    """`value` checked and converted as check_fields does for a field whose
+    default is `like`; errors name `what`."""
+    if isinstance(like, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{what} must be a list, got {value!r}")
+        return tuple(check_value(v, like[0], what) for v in value)
+    if isinstance(like, float):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{what} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValidationError(f"{what} must be finite, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +445,6 @@ class VolumeDataset:
         ids = tuple(i for i in self.ids if self._splits[i] == split)
         return ids
 
-    def ids_of_class(self, label: str) -> tuple:
-        return tuple(i for i in self.ids if self._records[i].label == label)
-
 
 # ---------------------------------------------------------------------------
 # phantom generator
@@ -432,14 +472,7 @@ class PhantomParams:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "extents", tuple(int(x) for x in self.extents))
-        object.__setattr__(self, "region_radii",
-                           tuple(float(x) for x in self.region_radii))
-        object.__setattr__(self, "cavity_scales",
-                           tuple(float(x) for x in self.cavity_scales))
-        for name in ("region_radii", "cavity_scales", "noise_amplitude", "jitter"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValidationError(f"phantom {name} must be finite")
+        check_fields(self, "phantom params")
         if len(self.extents) != 3 or min(self.extents) < 16:
             raise ValidationError(
                 "phantom extents must be 3 values of at least 16 voxels"
@@ -473,14 +506,16 @@ class PhantomParams:
              "cavity_scale_ad", "cavity_scale_mci", "cavity_scale_cn",
              "noise_amplitude", "jitter", "seed")
 
+    def key_values(self) -> dict:
+        """{file key: value} in file order, tuple fields spread over their
+        keys."""
+        return dict(zip(self._KEYS, (
+            *self.extents, self.samples_per_class, *self.region_radii,
+            *self.cavity_scales, self.noise_amplitude, self.jitter,
+            self.seed)))
+
     def to_text(self) -> str:
-        d, h, w = self.extents
-        r_ad, r_mci, r_cn = self.region_radii
-        c_ad, c_mci, c_cn = self.cavity_scales
-        values = (d, h, w, self.samples_per_class, r_ad, r_mci, r_cn,
-                  c_ad, c_mci, c_cn, self.noise_amplitude, self.jitter,
-                  self.seed)
-        return "".join(f"{k} = {v!r}\n" for k, v in zip(self._KEYS, values))
+        return "".join(f"{k} = {v!r}\n" for k, v in self.key_values().items())
 
     # file keys that together give one tuple field, in tuple order
     _GROUPS = {"extents": _KEYS[0:3], "region_radii": _KEYS[4:7],
@@ -488,10 +523,8 @@ class PhantomParams:
 
     @classmethod
     def from_text(cls, text: str) -> "PhantomParams":
-        ints = cls._GROUPS["extents"] + ("samples_per_class", "seed")
-        kwargs = parse_key_values(
-            text, {k: int if k in ints else float for k in cls._KEYS},
-            "phantom params")
+        types = {k: type(v) for k, v in cls().key_values().items()}
+        kwargs = parse_key_values(text, types, "phantom params")
         for name, keys in cls._GROUPS.items():
             given = [k for k in keys if k in kwargs]
             if given and len(given) < len(keys):
@@ -623,11 +656,7 @@ def generate_phantoms(params: PhantomParams, out_dir) -> Manifest:
         "seed": params.seed,
         "samples_per_class": params.samples_per_class,
         "masks": mask_paths,
-        "params": {k: v for k, v in zip(
-            PhantomParams._KEYS,
-            (d, h, w, params.samples_per_class, *params.region_radii,
-             *params.cavity_scales, params.noise_amplitude, params.jitter,
-             params.seed))},
+        "params": params.key_values(),
     }
     records = tuple(
         ManifestRecord(path=rel_paths[sid], label=labels[sid], subject=sid,

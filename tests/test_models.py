@@ -149,6 +149,30 @@ class TestConfigs:
         cfg = GoogleNetConfig()
         assert config_to_json(cfg) == config_to_json(cfg)
 
+    def test_canonical_json_text_is_pinned(self):
+        """The canonical text of a config with a nested inception table is
+        fixed: model files embed it, so any change to it changes their
+        bytes."""
+        assert config_to_json(arch_preset("googlenet3d-toy")) == (
+            '{"architecture":"googlenet3d","class_count":3,"format_version":2,'
+            '"inception":[[[4,4,6,2,3,3],[6,6,8,2,4,4]],[[6,6,8,2,4,4],'
+            '[6,6,8,2,4,4],[6,6,8,2,4,4],[6,6,8,2,4,4],[8,8,12,2,6,6]],'
+            '[[8,8,12,2,6,6],[8,8,12,2,6,6]]],"input_shape":[3,32,40,32],'
+            '"stem_kernel":5,"stem_padding":2,"stem_stride":2,'
+            '"stem_widths":[8,8,16]}')
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"architecture":"alexnet3d","class_count":' + "1" * 5000 + "}",
+         "malformed"),
+        ('{"architecture":"alexnet3d","format_version":1,"dropout_rate":1'
+         + "0" * 400 + "}", "'dropout_rate' must be finite"),
+    ], ids=["int-too-long", "v1-dropout-rate-overflow"])
+    def test_out_of_range_json_number_rejected(self, text, match):
+        """An integer too long to read, or one beyond the float range in a
+        number field, is a validation error, not a traceback."""
+        with pytest.raises(ValidationError, match=match):
+            config_from_json(text)
+
     def test_unknown_key_rejected(self):
         """A config dict with an unrecognized field fails loudly."""
         d = config_to_dict(AlexNetConfig())

@@ -1,5 +1,6 @@
 """Tests for the volume file format, manifests, and the phantom generator."""
 
+import dataclasses
 import os
 import struct
 import sys
@@ -12,7 +13,10 @@ from numpy.testing import assert_allclose
 
 from voxcnn.errors import ValidationError
 from voxcnn.metrics import CLASSES
+from voxcnn.models import AlexNetConfig, GoogleNetConfig, VggConfig
+from voxcnn.presets import arch_preset
 from voxcnn.seeding import derive_seed
+from voxcnn.training import TrainConfig
 from voxcnn.volumes import (
     Manifest,
     ManifestRecord,
@@ -389,7 +393,7 @@ class TestGeneratePhantoms:
         assert (len(val), len(test)) == (1, 1)
         assert set(ds.split_ids("heldout")) == set(val) | set(test)
         for label in CLASSES:
-            assert len(ds.ids_of_class(label)) == 4
+            assert sum(ds.label_of(i) == label for i in ds.ids) == 4
 
     def test_example_returns_class_index(self, tmp_path):
         params = self._params(n=2)
@@ -427,3 +431,49 @@ class TestGeneratePhantoms:
         text = "".join(f"{k} = {v!r}\n"
                        for k, v in manifest.metadata["params"].items())
         assert PhantomParams.from_text(text) == params
+
+
+# (build a config, the field it gets wrong): each value is truncated,
+# accepted or a TypeError unless the config checks its field types
+WRONGLY_TYPED = [
+    (lambda: AlexNetConfig(conv_widths=(8.7, 16, 24, 24, 16)),
+     "conv_widths"),
+    (lambda: AlexNetConfig(class_count=2.5), "class_count"),
+    (lambda: dataclasses.replace(arch_preset("alexnet3d-toy"),
+                                 stem_kernel=5.5), "stem_kernel"),
+    (lambda: VggConfig(pool_padding=True), "pool_padding"),
+    (lambda: GoogleNetConfig(inception=(((4, 4, 6.5, 2, 3, 3),),) * 3),
+     "inception"),
+    (lambda: TrainConfig(epochs=2.5), "epochs"),
+    (lambda: TrainConfig(lr0=True), "lr0"),
+    (lambda: TrainConfig(batch_size="32"), "batch_size"),
+    (lambda: TrainConfig(seed=None), "seed"),
+    (lambda: PhantomParams(samples_per_class=2.5), "samples_per_class"),
+    (lambda: PhantomParams(extents=(20.5, 22, 20)), "extents"),
+]
+
+
+class TestConfigFieldTypes:
+    """Architecture, training and phantom configs type-check their fields
+    through volumes.check_fields, however they are built."""
+
+    @pytest.mark.parametrize("build, field", WRONGLY_TYPED,
+                             ids=[f for _, f in WRONGLY_TYPED])
+    def test_wrongly_typed_python_field(self, build, field):
+        """A wrongly typed value is refused naming its field, not truncated,
+        accepted, or left to fail later with a TypeError."""
+        with pytest.raises(ValidationError, match=f"'{field}'"):
+            build()
+
+    def test_checked_values_are_stored(self):
+        """Numpy integers are stored as int, lists as tuples, and an int
+        given for a float field as a float."""
+        cfg = AlexNetConfig(input_shape=[3, np.int64(9), 9, 9],
+                            stem_kernel=np.int32(3))
+        assert cfg.input_shape == (3, 9, 9, 9)
+        assert type(cfg.input_shape[1]) is int
+        assert type(cfg.stem_kernel) is int
+        assert TrainConfig(lr0=1).lr0 == 1.0
+        assert "lr0 = 1.0\n" in TrainConfig(lr0=1).to_text()
+        assert PhantomParams(region_radii=(3, 4, 5)).region_radii == \
+            (3.0, 4.0, 5.0)
