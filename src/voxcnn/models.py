@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple, Union
 
@@ -58,7 +57,7 @@ from .kernels import (
     softmax_xent,
 )
 from .seeding import derive_seed
-from .volumes import atomic_write_bytes, check_fields, check_value
+from .volumes import Reader, atomic_write_bytes, check_fields, check_value, seal
 
 CONFIG_FORMAT_VERSION = 2
 MODEL_MAGIC = b"V0XN"
@@ -484,9 +483,6 @@ class GoogleNetConfig(_ArchConfig):
 
 ArchConfig = Union[AlexNetConfig, VggConfig, GoogleNetConfig]
 
-_CONFIG_CLASSES = {c.architecture: c for c in
-                   (AlexNetConfig, VggConfig, GoogleNetConfig)}
-
 
 def _as_lists(v):
     return [_as_lists(x) for x in v] if isinstance(v, tuple) else v
@@ -503,12 +499,12 @@ def config_from_dict(d: dict) -> ArchConfig:
     if not isinstance(d, dict):
         raise ValidationError("architecture config must be a mapping")
     arch = d.get("architecture")
-    if arch not in _CONFIG_CLASSES:
+    if arch not in _ARCHITECTURES:
         raise ValidationError(f"unknown architecture {arch!r}")
     version = d.get("format_version", CONFIG_FORMAT_VERSION)
     if version not in (1, CONFIG_FORMAT_VERSION):
         raise ValidationError(f"unsupported config format version {version}")
-    cls = _CONFIG_CLASSES[arch]
+    cls, _ = _ARCHITECTURES[arch]
     kwargs = {k: v for k, v in d.items()
               if k not in ("architecture", "format_version")}
     if version == 1:
@@ -682,17 +678,16 @@ def build_googlenet3d_layers(config: GoogleNetConfig) -> tuple:
     return tuple(layers)
 
 
-_LAYER_BUILDERS = {
-    "alexnet3d": build_alexnet3d_layers,
-    "vgg16-3d": build_vgg16_3d_layers,
-    "googlenet3d": build_googlenet3d_layers,
-}
+# architecture name -> (config class, layer builder)
+_ARCHITECTURES = {cls.architecture: (cls, builder) for cls, builder in (
+    (AlexNetConfig, build_alexnet3d_layers),
+    (VggConfig, build_vgg16_3d_layers),
+    (GoogleNetConfig, build_googlenet3d_layers),
+)}
 
 
 def build_layers(config: ArchConfig) -> tuple:
-    builder = _LAYER_BUILDERS.get(config.architecture)
-    if builder is None:
-        raise ValidationError(f"unknown architecture {config.architecture!r}")
+    _, builder = _ARCHITECTURES[config.architecture]
     return builder(config)
 
 
@@ -837,8 +832,9 @@ def save_model(model: Model) -> bytes:
     magic "V0XN" | u32 format version | u32 config length | config JSON |
     u32 tensor count | directory (u16 name length, name, u8 ndim, u32 dims),
     sorted by tensor name | payload: float64 little-endian tensor data in
-    directory order | u32 CRC-32 (zlib) of every preceding byte.  Version 1
-    is the same layout without the CRC; load_model still reads it.
+    directory order | u32 CRC-32 (zlib) of every preceding byte: the
+    framing of volumes.seal and volumes.Reader.  Version 1 is the same
+    layout without the CRC; load_model still reads it.
 
     A non-finite tensor raises NumericError, as load_model would refuse it.
     """
@@ -861,47 +857,13 @@ def save_model(model: Model) -> bytes:
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
     for name in names:
         out += np.ascontiguousarray(model.params[name], dtype="<f8").tobytes()
-    out += struct.pack("<I", zlib.crc32(out))
-    return bytes(out)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.end = len(data)
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > self.end:
-            raise ValidationError("model file truncated")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int) -> str:
-        try:
-            return self.take(n).decode()
-        except UnicodeDecodeError as e:
-            raise ValidationError(f"model file text is not UTF-8: {e}") from None
+    return seal(out)
 
 
 def load_model(data: bytes) -> Model:
-    r = _Reader(data)
-    if r.take(4) != MODEL_MAGIC:
-        raise ValidationError("not a model file (bad magic)")
-    (version,) = r.unpack("<I")
-    if version not in (1, MODEL_FORMAT_VERSION):
-        raise ValidationError(f"unsupported model format version {version}")
-    if version == MODEL_FORMAT_VERSION:
-        r.end -= 4
-        if r.end < r.pos or (zlib.crc32(memoryview(data)[:r.end])
-                             != int.from_bytes(data[r.end:], "little")):
-            raise ValidationError("model file checksum mismatch")
-    (cfg_len,) = r.unpack("<I")
-    config = config_from_json(r.text(cfg_len))
+    r = Reader(data, "model")
+    r.open(MODEL_MAGIC, {1: False, MODEL_FORMAT_VERSION: True})
+    config = config_from_json(r.text("<I"))
     layers = build_layers(config)
     expected = parameter_shapes(layers)
     (count,) = r.unpack("<I")
@@ -911,8 +873,7 @@ def load_model(data: bytes) -> Model:
         )
     directory = []
     for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        name = r.text(name_len)
+        name = r.text("<H")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         if name not in expected:
@@ -926,14 +887,12 @@ def load_model(data: bytes) -> Model:
         raise ValidationError("model file tensor directory incomplete or unsorted")
     params = {}
     for name, shape in directory:
-        n_items = int(np.prod(shape))
-        raw = r.take(8 * n_items)
+        raw = r.take(8 * int(np.prod(shape)))
         params[name] = np.frombuffer(raw, dtype="<f8").astype(
             np.float64).reshape(shape)
         if not np.isfinite(params[name]).all():
             raise ValidationError(f"tensor {name!r} holds non-finite values")
-    if r.pos != r.end:
-        raise ValidationError("trailing bytes after model payload")
+    r.done()
     return Model(config=config, layers=layers, params=params)
 
 

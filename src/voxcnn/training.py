@@ -182,24 +182,23 @@ class ArrayDataset:
 # ---------------------------------------------------------------------------
 
 
-def split_dataset(ids, ratios=(0.70, 0.15, 0.15), seed: int = 0) -> SplitPlan:
-    """Shuffle ids by seed and cut train/val/test with floor-sized tails."""
+# the recipe's validation and test fractions; training takes the rest (70%)
+HELD_OUT_FRACTION = 0.15
+
+
+def split_dataset(ids, seed: int = 0) -> SplitPlan:
+    """Shuffle ids by seed and cut train/val/test 70/15/15, the validation
+    and test sizes rounded down."""
     ids = list(ids)
     if len(set(ids)) != len(ids):
         raise ValidationError("dataset ids must be unique")
     if len(ids) < 3:
         raise ValidationError("need at least 3 ids to split")
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValidationError("ratios must be 3 positive numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValidationError(f"ratios must sum to 1, got {sum(ratios)}")
     rng = np.random.default_rng(derive_seed(seed, "split"))
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
     n = len(ids)
-    n_val = int(math.floor(ratios[1] * n))
-    n_test = int(math.floor(ratios[2] * n))
+    n_val = n_test = math.floor(HELD_OUT_FRACTION * n)
     n_train = n - n_val - n_test
     return SplitPlan(
         train_ids=shuffled[:n_train],

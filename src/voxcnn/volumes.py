@@ -1,4 +1,8 @@
-"""Volume container format, dataset manifests, and the phantom generator.
+"""Binary containers, volume files, dataset manifests, and the phantom generator.
+
+The volume (`.vvol`) and model (`.v0xn`, voxcnn.models) containers share
+one framing, written by `seal` and read by `Reader`: magic, u32 version,
+fields, and for a sealed version a u32 CRC-32 of every preceding byte.
 
 Volume files hold one 3-channel volume (GM, WM, CSF order) as 32-bit floats;
 computation elsewhere in the package is 64-bit, so 32-bit is purely a storage
@@ -6,7 +10,7 @@ format.  Byte layout, all integers little-endian:
 
     offset  size  field
     0       4     magic "VVOL"
-    4       4     u32 format version (currently 1)
+    4       4     u32 format version (currently 1, sealed)
     8       4     u32 depth D
     12      4     u32 height H
     16      4     u32 width W
@@ -202,6 +206,64 @@ def stack_input(record: VolumeRecord) -> np.ndarray:
     return record.data.astype(np.float64)
 
 
+def seal(body: bytearray) -> bytes:
+    """`body` with its CRC-32 trailer appended (in place), as bytes."""
+    body += struct.pack("<I", zlib.crc32(body))
+    return bytes(body)
+
+
+class Reader:
+    """Reads one container's fields in order; errors name the container
+    (`what`, e.g. "volume").  Call `open` first and `done` last."""
+
+    def __init__(self, data, what: str):
+        self.data = memoryview(data)
+        self.what = what
+        self.pos = 0
+        self.end = len(self.data)
+
+    def open(self, magic: bytes, versions: dict) -> None:
+        """Check the magic and the u32 version; `versions` maps each readable
+        version to whether it is sealed.  A sealed file's checksum is checked
+        and its trailer put outside the readable range."""
+        if self.take(len(magic)) != magic:
+            raise ValidationError(f"not a {self.what} file (bad magic)")
+        (version,) = self.unpack("<I")
+        if version not in versions:
+            raise ValidationError(
+                f"unsupported {self.what} format version {version}")
+        if versions[version]:
+            self.end -= 4
+            body, crc = self.data[:self.end], self.data[self.end:]
+            if self.end < self.pos or zlib.crc32(body) != int.from_bytes(crc, "little"):
+                raise ValidationError(f"{self.what} file checksum mismatch")
+
+    def take(self, n: int) -> memoryview:
+        """The next n bytes, as a view: no copy is made."""
+        if self.pos + n > self.end:
+            raise ValidationError(
+                f"{self.what} file truncated or malformed: {n} bytes needed "
+                f"at offset {self.pos}, {self.end - self.pos} left")
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, length_fmt: str) -> str:
+        """UTF-8 text after its byte length, a `length_fmt` integer."""
+        (n,) = self.unpack(length_fmt)
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as e:
+            raise ValidationError(
+                f"{self.what} file text is malformed, not UTF-8: {e}") from None
+
+    def done(self) -> None:
+        if self.pos != self.end:
+            raise ValidationError(f"trailing bytes after {self.what} payload")
+
+
 def write_volume(record: VolumeRecord) -> bytes:
     d, h, w = record.extents
     out = bytearray()
@@ -214,39 +276,19 @@ def write_volume(record: VolumeRecord) -> bytes:
     out += struct.pack("<H", len(labelb))
     out += labelb
     out += np.ascontiguousarray(record.data, dtype="<f4").tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+    return seal(out)
 
 
 def read_volume(data: bytes) -> VolumeRecord:
-    if len(data) < 28:
-        raise ValidationError("volume file truncated")
-    if data[:4] != VOLUME_MAGIC:
-        raise ValidationError("not a volume file (bad magic)")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise ValidationError("volume file checksum mismatch")
-    version, d, h, w, channels = struct.unpack_from("<IIIII", data, 4)
-    if version != VOLUME_FORMAT_VERSION:
-        raise ValidationError(f"unsupported volume format version {version}")
+    r = Reader(data, "volume")
+    r.open(VOLUME_MAGIC, {VOLUME_FORMAT_VERSION: True})
+    d, h, w, channels = r.unpack("<IIII")
     if channels != 3:
         raise ValidationError(f"expected 3 channels, file has {channels}")
-    pos = 24
-    try:
-        (id_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        vol_id = data[pos:pos + id_len].decode()
-        pos += id_len
-        (label_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        label = data[pos:pos + label_len].decode() or None
-    except (UnicodeDecodeError, struct.error) as e:
-        raise ValidationError(f"volume id or label is malformed: {e}") from None
-    pos += label_len
-    n_bytes = 4 * 3 * d * h * w
-    if len(data) != pos + n_bytes + 4:
-        raise ValidationError("volume payload length mismatch")
-    payload = np.frombuffer(data, dtype="<f4", count=3 * d * h * w, offset=pos)
+    vol_id = r.text("<H")
+    label = r.text("<H") or None
+    payload = np.frombuffer(r.take(12 * d * h * w), dtype="<f4")
+    r.done()
     return VolumeRecord(id=vol_id, label=label,
                         data=payload.reshape(3, d, h, w).copy())
 
@@ -258,18 +300,6 @@ def save_volume(record: VolumeRecord, path) -> None:
 def load_volume(path) -> VolumeRecord:
     with open(path, "rb") as f:
         return read_volume(f.read())
-
-
-def peek_extents(path) -> tuple:
-    """Read (D, H, W) from the header without checksumming the payload."""
-    with open(path, "rb") as f:
-        head = f.read(24)
-    if len(head) < 24 or head[:4] != VOLUME_MAGIC:
-        raise ValidationError(f"{path}: not a volume file")
-    version, d, h, w, channels = struct.unpack_from("<IIIII", head, 4)
-    if version != VOLUME_FORMAT_VERSION or channels != 3:
-        raise ValidationError(f"{path}: unsupported volume header")
-    return (d, h, w)
 
 
 def load_mask(path) -> np.ndarray:
@@ -315,13 +345,16 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    """Parse and validate: unique subjects/paths, volumes present, extents equal."""
+    """Parse and validate: unique subjects/paths, volumes present.
+
+    No volume file is opened; VolumeDataset.from_manifest reads each once.
+    """
     lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith(MANIFEST_TAG + " "):
         raise ValidationError(f"{path}: missing {MANIFEST_TAG} header line")
     try:
         metadata = json.loads(lines[0][len(MANIFEST_TAG) + 1:])
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an int too long to read
         raise ValidationError(f"{path}: malformed metadata JSON: {e}") from e
     base_dir = os.path.dirname(os.path.abspath(path))
     records = []
@@ -354,18 +387,9 @@ def load_manifest(path) -> Manifest:
         raise ValidationError(f"duplicate volume path {dup!r} in manifest")
     manifest = Manifest(records=tuple(records), metadata=metadata,
                         base_dir=base_dir)
-    extents = None
     for r in records:
-        full = manifest.resolve(r)
-        if not os.path.exists(full):
+        if not os.path.exists(manifest.resolve(r)):
             raise ValidationError(f"manifest references missing volume {r.path!r}")
-        e = peek_extents(full)
-        if extents is None:
-            extents = e
-        elif e != extents:
-            raise ValidationError(
-                f"volume {r.path!r} extents {e} differ from {extents}"
-            )
     return manifest
 
 
@@ -375,7 +399,8 @@ def load_manifest(path) -> Manifest:
 
 
 class VolumeDataset:
-    """All manifest volumes loaded into memory, keyed by subject id."""
+    """All manifest volumes loaded into memory, keyed by subject id; all
+    share one extent."""
 
     def __init__(self, manifest: Manifest, records: dict, splits: dict):
         self.manifest = manifest
@@ -387,8 +412,14 @@ class VolumeDataset:
         manifest = load_manifest(path)
         records: dict = {}
         splits: dict = {}
+        extents = None
         for mrec in manifest.records:
             vol = load_volume(manifest.resolve(mrec))
+            extents = extents or vol.extents
+            if vol.extents != extents:
+                raise ValidationError(
+                    f"volume {mrec.path!r} extents {vol.extents} differ "
+                    f"from {extents}")
             if vol.id != mrec.subject:
                 raise ValidationError(
                     f"volume {mrec.path!r} carries id {vol.id!r}, manifest "

@@ -577,6 +577,19 @@ class TestEval:
                      model_trio[0], "--split", "all"]) == 3
         assert message in capsys.readouterr().err
 
+    def test_manifest_header_with_huge_integer(self, dataset_dir, model_trio,
+                                               tmp_path, capsys):
+        """Header metadata holding an integer too long to read (5000 digits)
+        is a data error, not a traceback."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        path = data / "manifest.vman"
+        _, rows = path.read_text().split("\n", 1)
+        path.write_text('#VMAN1 {"seed": ' + "1" * 5000 + "}\n" + rows)
+        assert main(["eval", "--manifest", str(path), "--model",
+                     model_trio[0], "--split", "all"]) == 3
+        assert "malformed metadata JSON" in capsys.readouterr().err
+
     def test_nonfinite_model_tensor(self, manifest_path, tmp_path, capsys):
         """A model file with a NaN weight is refused at load time, naming the
         tensor, before any forward pass."""

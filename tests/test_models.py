@@ -835,6 +835,20 @@ class TestSaveLoad:
         with pytest.raises(ValidationError):
             read(bad)
 
+    @pytest.mark.parametrize("container", ["vvol", "v0xn"])
+    def test_resealed_trailing_bytes_rejected(self, container):
+        """Both containers refuse a correctly sealed body with two bytes
+        appended, with the same message."""
+        if container == "vvol":
+            blob = write_volume(VolumeRecord(id="v1", label="AD",
+                                             data=np.zeros((3, 2, 2, 2))))
+            read = read_volume
+        else:
+            blob, read = save_model(micro_model("alexnet3d-micro")), load_model
+        with pytest.raises(ValidationError,
+                           match="^trailing bytes after (volume|model) payload$"):
+            read(_sealed(blob[:-4] + b"\x00\x00"))
+
     def test_version_mismatch_rejected(self):
         blob = bytearray(save_model(micro_model("alexnet3d-micro")))
         blob[4:8] = (99).to_bytes(4, "little")

@@ -128,13 +128,6 @@ class TestSplitDataset:
         with pytest.raises(ValidationError, match="unique"):
             split_dataset(["a", "a", "b"])
 
-    def test_bad_ratios_rejected(self):
-        ids = [f"s{i}" for i in range(10)]
-        with pytest.raises(ValidationError):
-            split_dataset(ids, ratios=(0.5, 0.5, 0.5))
-        with pytest.raises(ValidationError):
-            split_dataset(ids, ratios=(1.0, 0.0, 0.0))
-
     def test_overlapping_plan_rejected(self):
         with pytest.raises(ValidationError):
             SplitPlan(train_ids=("a", "b"), val_ids=("b",), test_ids=("c",))

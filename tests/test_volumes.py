@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import voxcnn.volumes
 from voxcnn.errors import ValidationError
 from voxcnn.metrics import CLASSES
 from voxcnn.models import AlexNetConfig, GoogleNetConfig, VggConfig
@@ -30,7 +31,6 @@ from voxcnn.volumes import (
     load_mask,
     load_volume,
     make_phantom,
-    peek_extents,
     read_volume,
     region_mask,
     save_volume,
@@ -113,7 +113,6 @@ class TestVolumeFormat:
         rec = tiny_record(extents=(3, 4, 5))
         path = tmp_path / "v.vvol"
         save_volume(rec, path)
-        assert peek_extents(path) == (3, 4, 5)
         again = load_volume(path)
         assert (again.data == rec.data).all()
 
@@ -248,7 +247,24 @@ class TestManifest:
                      base_dir=str(tmp_path))
         write_manifest(m, tmp_path / "m.vman")
         with pytest.raises(ValidationError, match="extents"):
-            load_manifest(tmp_path / "m.vman")
+            VolumeDataset.from_manifest(tmp_path / "m.vman")
+
+    def test_from_manifest_opens_each_volume_once(self, tmp_path, monkeypatch):
+        """Loading a dataset opens its manifest once and each volume file
+        once: the manifest check reads no volume header of its own."""
+        records = self._write_volumes(tmp_path, n=3)
+        write_manifest(Manifest(records=tuple(records), metadata={},
+                                base_dir=str(tmp_path)), tmp_path / "m.vman")
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(voxcnn.volumes, "open", counting_open,
+                            raising=False)
+        assert len(VolumeDataset.from_manifest(tmp_path / "m.vman")) == 3
+        assert sorted(opened) == ["m.vman", "s0.vvol", "s1.vvol", "s2.vvol"]
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "m.vman"
