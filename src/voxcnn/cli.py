@@ -84,29 +84,33 @@ def _load_train_config(value: str | None, seed: int | None) -> TrainConfig:
     return config
 
 
-def _split_groups(dataset: VolumeDataset, seed: int | None) -> dict:
-    """Ids per split name: the manifest tags when any record is tagged,
-    otherwise a split derived from seed.  "heldout" is val + test."""
-    tagged = {s: dataset.split_ids(s) for s in ("train", "val", "test", "heldout")}
-    if any(tagged.values()):
-        return tagged
+def _split_plan(dataset: VolumeDataset, seed: int | None) -> tuple:
+    """(plan, tagged): the manifest's split tags when any record is tagged,
+    otherwise a split derived from seed."""
+    plan = SplitPlan(*(dataset.split_ids(s) for s in ("train", "val", "test")))
+    if plan.train_ids or plan.val_ids or plan.test_ids:
+        return plan, True
     if seed is None:
         raise ValidationError(
             "manifest has no split tags; pass --seed to derive a split or "
             "use --split all"
         )
-    plan = split_dataset(dataset.ids, seed=seed)
-    return {"train": plan.train_ids, "val": plan.val_ids,
-            "test": plan.test_ids, "heldout": plan.val_ids + plan.test_ids}
+    return split_dataset(dataset.ids, seed=seed), False
 
 
 def _select_ids(dataset: VolumeDataset, split: str, seed: int | None):
-    ids = dataset.ids if split == "all" else _split_groups(dataset, seed)[split]
+    """Ids of a SPLIT_CHOICES name: "all" is every id, "heldout" is val +
+    test."""
+    if split == "all":
+        return dataset.ids
+    plan, tagged = _split_plan(dataset, seed)
+    ids = (plan.val_ids + plan.test_ids if split == "heldout"
+           else getattr(plan, f"{split}_ids"))
     if not ids:
-        raise ValidationError(
-            f"split {split!r} selects no samples: the manifest has no "
-            f"{split!r} split tags"
-        )
+        source = (f"the manifest has no {split!r} split tags" if tagged else
+                  "the manifest has no split tags and the split derived "
+                  f"from --seed {seed} leaves it empty")
+        raise ValidationError(f"split {split!r} selects no samples: {source}")
     return ids
 
 
@@ -154,10 +158,9 @@ def cmd_train(args) -> int:
     config = _load_train_config(args.train_config, args.seed)
     dataset = VolumeDataset.from_manifest(args.manifest)
     _check_model(dataset, arch, args.arch_config)
-    groups = _split_groups(dataset, config.seed)
-    if not groups["train"]:
+    plan, _ = _split_plan(dataset, config.seed)
+    if not plan.train_ids:
         raise ValidationError("manifest tags contain no training samples")
-    plan = SplitPlan(groups["train"], groups["val"], groups["test"])
     model = build_model(arch, seed=config.seed)
     model, history = train(model, dataset, plan, config)
     os.makedirs(args.out, exist_ok=True)

@@ -110,7 +110,6 @@ class OpCount:
 
     multiplications: int
     additions: int
-    mode: str
 
 
 def out_extents(spatial, kernel, stride, padding, *, what: str = "layer") -> Triple:
@@ -647,4 +646,4 @@ def op_count(spec: ConvSpec, input_spatial, mode: str = "paper-convention") -> O
         adds = out_vox * spec.out_channels
     else:
         adds = spec.out_channels * (out_vox * (spec.in_channels * kvol - 1) + out_vox)
-    return OpCount(multiplications=mults, additions=adds, mode=mode)
+    return OpCount(multiplications=mults, additions=adds)

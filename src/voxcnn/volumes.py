@@ -22,9 +22,11 @@ format.  Byte layout, all integers little-endian:
     -       12*D*H*W  float32 payload, channel-major, row-major per channel
     -       4     u32 CRC-32 (zlib) of every preceding byte
 
-A manifest is a text file whose first line is "#VMAN1 <json metadata>"
-followed by one CSV record per volume: path,label,subject,split,fold
-(path relative to the manifest's directory; split and fold may be empty).
+A manifest is a text file whose first line is "#VMAN2 <json metadata>"
+followed by one CSV record per volume: path,label,subject,split (path
+relative to the manifest's directory; label and split may be empty).  A
+"#VMAN1" manifest still loads: its rows carry a fifth cell, a fold, which is
+not read.
 
 The phantom generator stands in for preprocessed MRI: an ellipsoidal head
 with a CSF rim, GM shell and WM core, plus two class-dependent features --
@@ -60,7 +62,9 @@ from .seeding import derive_seed
 
 VOLUME_MAGIC = b"VVOL"
 VOLUME_FORMAT_VERSION = 1
-MANIFEST_TAG = "#VMAN1"
+MANIFEST_TAG = "#VMAN2"
+# fields per manifest row, by header tag
+MANIFEST_ROW_WIDTHS = {"#VMAN1": 5, MANIFEST_TAG: 4}
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -318,7 +322,6 @@ class ManifestRecord:
     label: str | None
     subject: str
     split: str | None = None
-    fold: int | None = None
 
 
 @dataclass
@@ -337,10 +340,7 @@ def write_manifest(manifest: Manifest, path) -> None:
               f"{json.dumps(manifest.metadata, sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     for r in manifest.records:
-        writer.writerow([
-            r.path, r.label or "", r.subject,
-            r.split or "", "" if r.fold is None else r.fold,
-        ])
+        writer.writerow([r.path, r.label or "", r.subject, r.split or ""])
     atomic_write_text(path, buf.getvalue())
 
 
@@ -350,10 +350,13 @@ def load_manifest(path) -> Manifest:
     No volume file is opened; VolumeDataset.from_manifest reads each once.
     """
     lines = read_text(path).splitlines()
-    if not lines or not lines[0].startswith(MANIFEST_TAG + " "):
-        raise ValidationError(f"{path}: missing {MANIFEST_TAG} header line")
+    tag, space, header = (lines[0] if lines else "").partition(" ")
+    if tag not in MANIFEST_ROW_WIDTHS or not space:
+        raise ValidationError(f"{path}: missing "
+                              f"{' or '.join(MANIFEST_ROW_WIDTHS)} header line")
+    width = MANIFEST_ROW_WIDTHS[tag]
     try:
-        metadata = json.loads(lines[0][len(MANIFEST_TAG) + 1:])
+        metadata = json.loads(header)
     except ValueError as e:  # JSONDecodeError, or an int too long to read
         raise ValidationError(f"{path}: malformed metadata JSON: {e}") from e
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -361,22 +364,18 @@ def load_manifest(path) -> Manifest:
     for row in csv.reader(lines[1:]):
         if not row:
             continue
-        if len(row) != 5:
+        if len(row) != width:
             raise ValidationError(
-                f"{path}: manifest rows need 5 fields, got {row!r}"
+                f"{path}: {tag} manifest rows need {width} fields, got {row!r}"
             )
-        vol_path, label, subject, split, fold = (c.strip() for c in row)
+        vol_path, label, subject, split = (c.strip() for c in row[:4])
         if label and label not in CLASSES:
             raise ValidationError(f"{path}: unknown label {label!r}")
         if split not in ("", "train", "val", "test"):
             raise ValidationError(f"{path}: unknown split tag {split!r}")
-        try:
-            fold = int(fold) if fold else None
-        except ValueError:
-            raise ValidationError(f"{path}: fold {fold!r} is not an integer") from None
         records.append(ManifestRecord(
             path=vol_path, label=label or None, subject=subject,
-            split=split or None, fold=fold))
+            split=split or None))
     subjects = [r.subject for r in records]
     if len(set(subjects)) != len(subjects):
         dup = next(s for s in subjects if subjects.count(s) > 1)
@@ -402,8 +401,7 @@ class VolumeDataset:
     """All manifest volumes loaded into memory, keyed by subject id; all
     share one extent."""
 
-    def __init__(self, manifest: Manifest, records: dict, splits: dict):
-        self.manifest = manifest
+    def __init__(self, records: dict, splits: dict):
         self._records = records
         self._splits = splits
 
@@ -432,7 +430,7 @@ class VolumeDataset:
                 )
             records[mrec.subject] = vol
             splits[mrec.subject] = mrec.split
-        return cls(manifest=manifest, records=records, splits=splits)
+        return cls(records=records, splits=splits)
 
     @property
     def ids(self) -> tuple:
@@ -467,9 +465,7 @@ class VolumeDataset:
         return stack_input(rec), CLASSES.index(rec.label)
 
     def split_ids(self, split: str) -> tuple:
-        """Ids tagged with `split`; "heldout" = val + test, "all" = everything."""
-        if split == "all":
-            return self.ids
+        """Ids tagged with `split`; "heldout" = val + test."""
         if split == "heldout":
             return tuple(i for i in self.ids
                          if self._splits[i] in ("val", "test"))
@@ -647,29 +643,25 @@ def generate_phantoms(params: PhantomParams, out_dir) -> Manifest:
     os.makedirs(vol_dir, exist_ok=True)
     os.makedirs(mask_dir, exist_ok=True)
 
-    ids, labels, rel_paths = [], {}, {}
-    for label in CLASSES:
-        for i in range(params.samples_per_class):
-            sid = f"{label}{i:04d}"
-            ids.append(sid)
-            labels[sid] = label
-            rel_paths[sid] = os.path.join("volumes", f"{sid}.vvol")
+    samples = [(label, i, f"{label}{i:04d}") for label in CLASSES
+               for i in range(params.samples_per_class)]
+    plan = split_dataset([sid for _, _, sid in samples], seed=params.seed)
+    split_of = {sid: name
+                for name, group in (("train", plan.train_ids),
+                                    ("val", plan.val_ids),
+                                    ("test", plan.test_ids))
+                for sid in group}
 
-    plan = split_dataset(ids, seed=params.seed)
-    split_of = {}
-    for name, group in (("train", plan.train_ids), ("val", plan.val_ids),
-                        ("test", plan.test_ids)):
-        for sid in group:
-            split_of[sid] = name
-
-    for sid in ids:
-        label = labels[sid]
-        i = int(sid[len(label):])
+    records = []
+    for label, i, sid in samples:
         rng = np.random.default_rng(
             derive_seed(params.seed, f"sample:{label}:{i}"))
         rec = make_phantom(params, label, rng)
         rec.id = sid
-        save_volume(rec, os.path.join(out_dir, rel_paths[sid]))
+        rel = os.path.join("volumes", f"{sid}.vvol")
+        save_volume(rec, os.path.join(out_dir, rel))
+        records.append(ManifestRecord(path=rel, label=label, subject=sid,
+                                      split=split_of[sid]))
 
     mask_paths = {}
     for label in CLASSES:
@@ -689,11 +681,7 @@ def generate_phantoms(params: PhantomParams, out_dir) -> Manifest:
         "masks": mask_paths,
         "params": params.key_values(),
     }
-    records = tuple(
-        ManifestRecord(path=rel_paths[sid], label=labels[sid], subject=sid,
-                       split=split_of[sid], fold=None)
-        for sid in ids
-    )
-    manifest = Manifest(records=records, metadata=metadata, base_dir=out_dir)
+    manifest = Manifest(records=tuple(records), metadata=metadata,
+                        base_dir=out_dir)
     write_manifest(manifest, os.path.join(out_dir, "manifest.vman"))
     return manifest

@@ -552,25 +552,45 @@ class TestEval:
         assert rc == 3
         assert "no 'test' split tags" in capsys.readouterr().err
 
+    def test_empty_derived_split_names_the_seed(self, tmp_path, model_trio,
+                                                capsys):
+        """An untagged 6-volume manifest derives its split from --seed, and
+        that split has no val samples (floor(0.15 * 6) = 0): the error says
+        so instead of blaming missing val tags."""
+        params = tmp_path / "p.txt"
+        params.write_text(tiny_params(samples_per_class=2, seed=3).to_text())
+        data = tmp_path / "data"
+        assert main(["generate", "--params", str(params),
+                     "--out", str(data)]) == 0
+        manifest = edited_manifest(data, tmp_path / "untagged", lambda rows: [
+            r.rsplit(",", 1)[0] + "," for r in rows])
+        capsys.readouterr()
+        assert main(["eval", "--manifest", manifest, "--model",
+                     model_trio[0], "--split", "val", "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "selects no samples" in err
+        assert "derived from --seed 1" in err
+        assert "no 'val' split tags" not in err
+
     def test_partially_tagged_manifest_uses_tags(self, dataset_dir,
                                                  model_trio, tmp_path, capsys):
         """With train/test tags but no val tags, --seed does not derive a
         val split from tagged volumes: the tagged val split is empty."""
         manifest = edited_manifest(dataset_dir, tmp_path, lambda rows: [
-            r.replace(",val,", ",train,") for r in rows])
+            r[:-len(",val")] + ",train" if r.endswith(",val") else r
+            for r in rows])
         assert main(["eval", "--manifest", manifest, "--model",
                      model_trio[0], "--split", "val", "--seed", "1"]) == 3
         assert "selects no samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell, message", [
-        (3, "unknown split tag 'holdout'"), (4, "fold 'x' is not an integer")])
+        (3, "unknown split tag 'holdout'")])
     def test_bad_manifest_cell(self, dataset_dir, model_trio, tmp_path,
                                capsys, cell, message):
-        """A split tag other than train/val/test and a fold that is not an
-        integer are data errors."""
+        """A split tag other than train/val/test is a data error."""
         def edit(rows):
             fields = rows[0].split(",")
-            fields[cell] = "holdout" if cell == 3 else "x"
+            fields[cell] = "holdout"
             return [",".join(fields)] + rows[1:]
         manifest = edited_manifest(dataset_dir, tmp_path, edit)
         assert main(["eval", "--manifest", manifest, "--model",

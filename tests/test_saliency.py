@@ -16,7 +16,7 @@ from voxcnn.saliency import (
     saliency_map,
 )
 from voxcnn.training import ArrayDataset
-from voxcnn.volumes import Manifest, VolumeDataset, VolumeRecord
+from voxcnn.volumes import VolumeDataset, VolumeRecord
 
 
 def micro(seed=0):
@@ -196,8 +196,7 @@ class TestClassMeanSaliency:
         records = {f"v{i}": VolumeRecord(id=f"v{i}", data=rng.random((3, 9, 9, 9)),
                                          label=label)
                    for i, label in enumerate(labels)}
-        return VolumeDataset(Manifest(records=(), metadata={}), records,
-                             dict.fromkeys(records))
+        return VolumeDataset(records, dict.fromkeys(records))
 
     def test_loads_only_the_class_volumes(self, monkeypatch):
         """Samples are chosen by label first; only the chosen volumes are

@@ -272,6 +272,29 @@ class TestManifest:
         with pytest.raises(ValidationError, match="VMAN1"):
             load_manifest(path)
 
+    def test_vman1_fold_cells_are_not_read(self, tmp_path):
+        """A #VMAN1 manifest's fifth cell (a fold) is ignored whatever it
+        holds: its records equal those of the same rows under #VMAN2."""
+        self._write_volumes(tmp_path, n=2)
+        rows = ["s0.vvol,AD,s0,test", "s1.vvol,MCI,s1,train"]
+        (tmp_path / "old.vman").write_text(
+            "#VMAN1 {}\n" + "".join(f"{r},{fold}\n"
+                                    for r, fold in zip(rows, ("3", "x"))))
+        (tmp_path / "new.vman").write_text(
+            "#VMAN2 {}\n" + "".join(f"{r}\n" for r in rows))
+        old = load_manifest(tmp_path / "old.vman")
+        assert old.records == load_manifest(tmp_path / "new.vman").records
+        assert [r.split for r in old.records] == ["test", "train"]
+
+    @pytest.mark.parametrize("tag, row", [
+        ("#VMAN1", "s0.vvol,AD,s0,test"), ("#VMAN2", "s0.vvol,AD,s0,test,3")])
+    def test_row_width_follows_header_tag(self, tmp_path, tag, row):
+        self._write_volumes(tmp_path, n=1)
+        path = tmp_path / "m.vman"
+        path.write_text(f"{tag} {{}}\n{row}\n")
+        with pytest.raises(ValidationError, match="fields"):
+            load_manifest(path)
+
 
 class TestPhantomParams:
     def test_text_round_trip(self):
@@ -410,6 +433,13 @@ class TestGeneratePhantoms:
         assert set(ds.split_ids("heldout")) == set(val) | set(test)
         for label in CLASSES:
             assert sum(ds.label_of(i) == label for i in ds.ids) == 4
+
+    def test_manifest_rows_have_four_fields(self, tmp_path):
+        generate_phantoms(self._params(n=2), tmp_path / "d")
+        head, *rows = (tmp_path / "d" / "manifest.vman").read_text().splitlines()
+        assert head.startswith("#VMAN2 ")
+        assert len(rows) == 6
+        assert all(len(r.split(",")) == 4 for r in rows)
 
     def test_example_returns_class_index(self, tmp_path):
         params = self._params(n=2)
