@@ -8,8 +8,8 @@ output together with whatever the matching backward kernel needs (the
 
 conv3d splits the padded input into its stride phases once (_phase_split
 describes the layout) and caches them for conv3d_backward.  The forward runs
-one GEMM per depth phase against a panel of the in-plane shifts, with that
-phase's depth slices of the weights stacked into one matrix; the backward
+one GEMM per depth phase and column block: the phase's stacked depth slices
+of the weights times a panel of the block's in-plane shifts.  The backward
 runs one GEMM per kernel offset for the weight gradient and one for the
 input gradient.  Every GEMM reads or writes a contiguous column range of
 a phase, so no per-voxel window tensor is copied, and both kernels run their
@@ -206,10 +206,10 @@ def _column_blocks(n, rows):
     conv3d_backward runs its kernel-offset loop inside each block of grid
     columns, so the upstream-gradient block and the GEMM result added to it
     stay in L2 across the offsets, instead of every offset streaming all n
-    columns from memory again.  conv3d blocks its panel columns: the stacked
-    product of a block stays in L2 while its row groups are added into the
-    output grid.  The panel and phase columns that are read once are not
-    counted.
+    columns from memory again.  conv3d builds its panel one block at a time:
+    the stacked product of a block stays in L2 while its row groups are added
+    into the output grid, and no panel wider than a block is held.  The panel
+    block and the phase columns, read once per block, are not counted.
     """
     width = max(_MIN_COLUMNS, _BLOCK_VALUES // rows)
     return [(c0, min(c0 + width, n)) for c0 in range(0, n, width)]
@@ -221,15 +221,16 @@ def conv3d(x, weights, bias, spec: ConvSpec):
     x: (C_in, D, H, W); weights: (C_out, C_in, kd, kh, kw); bias: (C_out,).
     Returns (output, cache) with output (C_out, D', H', W'), C-contiguous.
 
-    For each depth phase rd, the kh*kw in-plane shifts of that phase are
-    stacked into one (kh*kw*C_in, m) panel, and its na depth offsets
-    i = sd*a + rd into one (na*C_out, kh*kw*C_in) matrix of weight slices.
-    Each column block of the panel (see _column_blocks, over the widest
-    phase's m) is multiplied by that matrix once, into one reused buffer;
-    row group a of the product holds offset i's terms for panel columns
-    [c0, c1), which it adds into the output grid (see _phase_split) at
-    columns [c0 - a*Hq*Wq, c1 - a*Hq*Wq), clipped to [0, n).  So each panel
-    column is read once per phase, not once per depth offset.  The cache is
+    For each depth phase rd, its na depth offsets i = sd*a + rd are stacked
+    into one (na*C_out, kh*kw*C_in) matrix of weight slices.  Per column
+    block [c0, c1) of the phase's m (see _column_blocks, over the widest
+    phase's m), the kh*kw in-plane shifts are copied into one reused
+    (kh*kw*C_in, c1 - c0) panel, multiplied by that matrix once into a
+    second reused buffer; row group a of the product holds offset i's terms,
+    which it adds into the output grid (see _phase_split) at columns
+    [c0 - a*Hq*Wq, c1 - a*Hq*Wq), clipped to [0, n).  So each panel column
+    is built and read once per phase, not once per depth offset, and no
+    panel wider than one block is ever held.  The cache is
     (phases, input shape, weights, spec, output extents, q);
     bench/tracing.py reads the input shape (index 1) and the spec (index 3).
     """
@@ -267,22 +268,23 @@ def conv3d(x, weights, bias, spec: ConvSpec):
     # a grid block and the stacked product, over the widest phase's panel
     blocks = _column_blocks((na_max - 1) * plane + n, (na_max + 1) * c_out)
     buf = np.empty(na_max * c_out * (blocks[0][1] - blocks[0][0]))
+    rows = kh * kw * c_in  # panel rows: each channel at each in-plane shift
+    panel_buf = np.empty(rows * (blocks[0][1] - blocks[0][0]))
     for rd in range(min(sd, kd)):
         na = len(range(rd, kd, sd))
         m = (na - 1) * plane + n
-        panel = np.empty((kh, kw, c_in, m))
-        for j, k in np.ndindex(kh, kw):
-            (b, rj), (c, rk) = divmod(j, sh), divmod(k, sw)
-            o = b * qw + c
-            panel[j, k] = xf[rd, rj, rk, :, o : o + m]
-        panel = panel.reshape(-1, m)
         ws = wt[rd::sd].reshape(na * c_out, -1)  # depth offsets rd, rd + sd, ...
         for c0, c1 in blocks:
             if c0 >= m:
                 break
             c1 = min(c1, m)
+            panel = panel_buf[: rows * (c1 - c0)].reshape(kh, kw, c_in, -1)
+            for j, k in np.ndindex(kh, kw):
+                (b, rj), (c, rk) = divmod(j, sh), divmod(k, sw)
+                o = b * qw + c
+                panel[j, k] = xf[rd, rj, rk, :, o + c0 : o + c1]
             prod = buf[: na * c_out * (c1 - c0)].reshape(na * c_out, -1)
-            np.matmul(ws, panel[:, c0:c1], out=prod)
+            np.matmul(ws, panel.reshape(rows, -1), out=prod)
             for a in range(na):
                 # panel column p + a*plane meets grid column p at offset a
                 o = a * plane
@@ -290,7 +292,6 @@ def conv3d(x, weights, bias, spec: ConvSpec):
                 if lo < hi:
                     grid[:, lo:hi] += prod[a * c_out : (a + 1) * c_out,
                                            lo + o - c0 : hi + o - c0]
-        del panel  # free it before the next depth phase's panel is built
     out = grid.reshape(c_out, od, qh, qw)[:, :, :oh, :ow] + bias[:, None, None, None]
     cache = (xf, x.shape, weights, spec, out_sp, q)
     return out, cache

@@ -3,7 +3,7 @@
 Three tiers per architecture: the full-size default at the canonical
 3x157x189x156 input (used for shape and parameter-budget checks; the tests
 and demos run none of it forward, though one alexnet3d or googlenet3d eval
-forward takes about 7-10 s and 1.5 GiB with one BLAS thread), a toy tier at
+forward takes about 6-8 s and 1.1 GiB with one BLAS thread), a toy tier at
 3x32x40x32 for end-to-end phantom experiments, and a micro tier at 3x9x9x9
 for gradient checks and optimizer sanity runs.  Reduced tiers shrink stem
 kernels and channel widths but keep each architecture's layer census

@@ -269,20 +269,19 @@ def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected adam update, in place; returns (params, state)."""
+    """One bias-corrected adam update, in place; returns (params, state).
+    All gradients are checked first: a raise changes no param or state."""
     if set(params) != set(grads):
         raise ValidationError("parameter and gradient stores disagree on keys")
-    state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
+        if grads[name].shape != p.shape:
             raise ValidationError(f"gradient shape mismatch for {name!r}")
-        if not np.isfinite(g).all():
+        if not np.isfinite(grads[name]).all():
             raise NumericError(f"non-finite gradient for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
+    state.t += 1
+    c1, c2 = 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2

@@ -422,15 +422,21 @@ class TestForward:
     def test_unrecorded_cache_holds_only_logits(self):
         """A record="none" cache keeps no array but the logits (besides the
         model's own layers and parameters), and the call peaks lower than a
-        recording one."""
+        recording one.  A recording forward plus backpropagate, the path
+        that training and the benchmark's saliency check take, peaks under
+        28 MiB: convs that held a whole depth phase's panel of in-plane
+        shifts, not one column block of it, took that path to 37.8 MiB."""
         model = micro_model("vgg16-3d-toy", seed=1)
         x = np.random.default_rng(16).random(model.input_shape)
         peaks = {}
-        for record in (True, False):
+        for record in ("all", "none"):
             tracemalloc.start()
             try:
-                _, cache = forward(model, x, record="all" if record else "none")
+                probs, cache = forward(model, x, record=record)
                 peaks[record] = tracemalloc.get_traced_memory()[1]
+                if record == "all":
+                    backpropagate(model, cache, probs)
+                    peaks["all+backward"] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         held = {k: v for k, v in vars(cache).items()
@@ -438,7 +444,8 @@ class TestForward:
         assert held["entries"] is None
         assert set(held) == {"entries", "logits"}
         assert held["logits"].shape == (model.class_count,)
-        assert peaks[False] < peaks[True]
+        assert peaks["none"] < peaks["all"]
+        assert peaks["all+backward"] < 28 * 2**20
 
     def test_input_only_cache_holds_no_parameter_gradient_state(self):
         """A record="input" vgg16-3d-toy cache holds no conv stride phases

@@ -1,8 +1,10 @@
 """Tests for splits, folds, adam, L2, and the training loop."""
 
+import copy
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import voxcnn.models
 import voxcnn.training
@@ -252,6 +254,26 @@ class TestAdam:
         grads = {"a.w": np.array([1.0, np.nan])}
         with pytest.raises(NumericError, match="a.w"):
             adam_step(params, grads, init_adam_state(params), lr=0.1)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([1.0, np.nan]), NumericError),
+        (np.ones(3), ValidationError),
+    ], ids=["nan", "shape"])
+    def test_rejected_gradient_changes_nothing(self, bad, error):
+        """A gradient rejected after a good one leaves every parameter,
+        moment and the step count as they were before the call."""
+        params = {"a.w": np.ones(2), "b.w": np.ones(2)}
+        state = init_adam_state(params)
+        adam_step(params, {"a.w": np.ones(2), "b.w": np.ones(2)}, state, lr=0.1)
+        before = copy.deepcopy((params, state))
+        with pytest.raises(error, match="b.w"):
+            adam_step(params, {"a.w": np.ones(2), "b.w": bad}, state, lr=0.1)
+        for got, want in zip((params, state.m, state.v),
+                             (before[0], before[1].m, before[1].v)):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert_array_equal(got[name], want[name])
+        assert state.t == before[1].t == 1
 
     def test_l2_folds_into_gradient(self):
         """Applying l2_term's contribution equals adding lam*w by hand."""
