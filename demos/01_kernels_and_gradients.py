@@ -6,7 +6,7 @@ Run: python3 demos/01_kernels_and_gradients.py
 
 import numpy as np
 
-from voxcnn.kernels import ConvSpec, PoolSpec, conv3d, conv3d_backward, \
+from voxcnn.kernels import ConvSpec, PoolSpec, conv3d, conv3d_param_grads, \
     maxpool3d, op_count
 
 rng = np.random.default_rng(0)
@@ -33,9 +33,9 @@ for mode in ("paper-convention", "standard"):
           f"{oc.additions} additions")
 
 print()
-print("== finite-difference check of conv3d_backward ==")
+print("== finite-difference check of conv3d_param_grads ==")
 grad_out = rng.normal(size=y.shape)
-_, grad_w, _ = conv3d_backward(cache, grad_out)
+grad_w, _ = conv3d_param_grads(cache, grad_out)
 eps = 1e-6
 worst = 0.0
 for _ in range(10):

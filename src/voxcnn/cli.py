@@ -325,12 +325,14 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_saliency(args) -> int:
+    class_names = [c.strip() for c in args.classes.split(",") if c.strip()]
+    if not class_names:
+        raise ValidationError(f"--classes {args.classes!r} names no class")
+    class_ids = [class_index(cname) for cname in class_names]
     model = load_model_file(args.model)
     dataset = VolumeDataset.from_manifest(args.manifest)
     _check_model(dataset, model.config, args.model)
     ids = _select_ids(dataset, args.split, args.seed)
-    class_names = [c.strip() for c in args.classes.split(",") if c.strip()]
-    class_ids = [class_index(cname) for cname in class_names]
     mask = load_mask(args.mask) if args.mask else None
     os.makedirs(args.out, exist_ok=True)
     for cname, c in zip(class_names, class_ids):

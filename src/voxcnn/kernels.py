@@ -7,16 +7,16 @@ output together with whatever the matching backward kernel needs (the
 64-bit throughout; 32-bit is a storage format only (see voxcnn.volumes).
 
 conv3d splits the padded input into its stride phases once (_phase_split
-describes the layout) and caches them for conv3d_backward.  The forward runs
-one GEMM per depth phase and column block: the phase's stacked depth slices
-of the weights times a panel of the block's in-plane shifts.  The backward
-runs one GEMM per kernel offset for the weight gradient and one for the
-input gradient.  Every GEMM reads or writes a contiguous column range of
-a phase, so no per-voxel window tensor is copied, and both kernels run their
-offsets inside L2-sized column blocks (_column_blocks).  conv3d_backward's
-input_grad=False skips the input gradient, which a network's first layer in
-training never needs; a cache whose phases were dropped skips the weight
-and bias gradients, which a saliency map never needs.
+describes the layout) and caches them for conv3d_param_grads.  The forward
+runs one GEMM per depth phase and column block: the phase's stacked depth
+slices of the weights times a panel of the block's in-plane shifts.  The
+backward is two kernels, each one GEMM per kernel offset: conv3d_backward
+gives the input gradient, which a network's first layer in training never
+needs, and conv3d_param_grads the weight and bias gradients, which a
+saliency map never needs; dense_backward and dense_param_grads split alike.
+Every GEMM reads or writes a contiguous column range of a phase, so no
+per-voxel window tensor is copied, and all three conv kernels run their
+offsets inside L2-sized column blocks (_column_blocks).
 
 maxpool3d takes a separable max and recovers its argmax from output-sized
 candidates, so it copies no k^3 window either; argmax=False skips that
@@ -135,6 +135,15 @@ def _check_volume(x: np.ndarray, what: str = "input") -> np.ndarray:
     return x
 
 
+def _upstream(grad_out, expected, what: str) -> np.ndarray:
+    """A backward kernel's grad_out as float64, checked against `expected`."""
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != expected:
+        raise ValidationError(
+            f"{what} backward: upstream shape {grad_out.shape} != {expected}")
+    return grad_out
+
+
 # ---------------------------------------------------------------------------
 # conv3d
 # ---------------------------------------------------------------------------
@@ -203,13 +212,14 @@ def _column_blocks(n, rows):
     across the `rows` rows of the block-wide arrays that a block reuses, or
     _MIN_COLUMNS columns if that is wider.
 
-    conv3d_backward runs its kernel-offset loop inside each block of grid
-    columns, so the upstream-gradient block and the GEMM result added to it
-    stay in L2 across the offsets, instead of every offset streaming all n
-    columns from memory again.  conv3d builds its panel one block at a time:
-    the stacked product of a block stays in L2 while its row groups are added
-    into the output grid, and no panel wider than a block is held.  The panel
-    block and the phase columns, read once per block, are not counted.
+    Both conv backward kernels run their kernel-offset loop inside each
+    block of grid columns, so the upstream-gradient block and the GEMM
+    result added to it stay in L2 across the offsets, instead of every
+    offset streaming all n columns from memory again.  conv3d builds its
+    panel one block at a time: the stacked product of a block stays in L2
+    while its row groups are added into the output grid, and no panel wider
+    than a block is held.  The panel block and the phase columns, read once
+    per block, are not counted.
     """
     width = max(_MIN_COLUMNS, _BLOCK_VALUES // rows)
     return [(c0, min(c0 + width, n)) for c0 in range(0, n, width)]
@@ -297,77 +307,65 @@ def conv3d(x, weights, bias, spec: ConvSpec):
     return out, cache
 
 
-def conv3d_backward(cache, grad_out, input_grad=True):
-    """Gradients of conv3d: returns (grad_input, grad_weights, grad_bias).
+def _backward_prologue(cache, grad_out):
+    """(grad_out, its grid, taps, column blocks) for both conv3d gradients.
 
-    Inside each column block (see _column_blocks), one loop over the kernel
-    offsets (i, j, k) runs one GEMM per offset for the weight gradient and,
-    unless input_grad is False, one for the input gradient; with input_grad
-    False, grad_input is None.  Both work on the layout of the stride phases
-    (see _phase_split): grad_out sits in a zero (C_out, D'*Hq*Wq) grid, so
-    each offset reads or accumulates one contiguous column range of a phase,
-    and the grid's zero columns contribute nothing.  The first block assigns
-    each offset's weight gradient and later blocks add to it.
-
-    The weight gradient reads the phases that conv3d cached.  A cache whose
-    phases (index 0) are None still gives the input gradient, which needs
-    only the weights, the spec and the phase extents q: the loop then runs
-    no weight GEMM, no bias sum is taken, and both parameter gradients are
-    None.
-    """
-    xf, x_shape, weights, spec, out_sp, q = cache
-    params = xf is not None
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    expected = (spec.out_channels,) + out_sp
-    if grad_out.shape != expected:
-        raise ValidationError(
-            f"conv3d backward: upstream shape {grad_out.shape} != {expected}"
-        )
-    c_out, c_in = spec.out_channels, spec.in_channels
+    grad_out sits in a zero (C_out, D'*Hq*Wq) grid of the phase layout (see
+    _phase_split), so for grid block [c0, c1) a tap, (offset, phase r, o),
+    reads or accumulates columns [o + c0, o + c1) of phase r, and the zero
+    columns contribute nothing.  A block's rows are a gradient block and
+    the input gradient's (C_in, width) product."""
+    _, _, _, spec, (od, oh, ow), (_, qh, qw) = cache
+    grad_out = _upstream(grad_out, (spec.out_channels, od, oh, ow), "conv3d")
     s = spec.stride
-    od, oh, ow = out_sp
-
-    grad_bias = grad_out.sum(axis=(1, 2, 3)) if params else None
-
-    _, qh, qw = q
     n = (od - 1) * qh * qw + (oh - 1) * qw + ow
-    grid = np.zeros((c_out, od, qh, qw))
+    grid = np.zeros((spec.out_channels, od, qh, qw))
     grid[:, :, :oh, :ow] = grad_out
-    gf = grid.reshape(c_out, -1)[:, :n]
-
-    # (kd, kh, kw, C_in, C_out): each offset's transposed weights contiguous
-    wt = np.ascontiguousarray(weights.transpose(2, 3, 4, 1, 0))
-    gw = np.empty(spec.kernel + (c_out, c_in)) if params else None
-    gxf = np.zeros(s + (c_in, q[0] * q[1] * q[2])) if input_grad else None
-    taps = []  # per kernel offset (i, j, k): its phase and its column shift
+    taps = []
     for i, j, k in np.ndindex(*spec.kernel):
         (a, ri), (b, rj), (c, rk) = divmod(i, s[0]), divmod(j, s[1]), divmod(k, s[2])
         taps.append(((i, j, k), (ri, rj, rk), (a * qh + b) * qw + c))
-    blocks = _column_blocks(n, c_out + c_in)  # a gradient block and t
+    blocks = _column_blocks(n, spec.out_channels + spec.in_channels)
+    return grad_out, grid.reshape(spec.out_channels, -1)[:, :n], taps, blocks
+
+
+def conv3d_backward(cache, grad_out):
+    """Input gradient of conv3d.  Per column block and tap, one GEMM of the
+    tap's transposed weights by the gradient block adds into the tap's
+    columns of a phase-layout gradient.  The cache's phases go unread."""
+    _, x_shape, weights, spec, _, q = cache
+    _, gf, taps, blocks = _backward_prologue(cache, grad_out)
+    c_in, s = spec.in_channels, spec.stride
+    # (kd, kh, kw, C_in, C_out): each offset's transposed weights contiguous
+    wt = np.ascontiguousarray(weights.transpose(2, 3, 4, 1, 0))
+    gxf = np.zeros(s + (c_in, q[0] * q[1] * q[2]))
     buf = np.empty(c_in * (blocks[0][1] - blocks[0][0]))
     for c0, c1 in blocks:
         g = gf[:, c0:c1]
         t = buf[: c_in * (c1 - c0)].reshape(c_in, -1)
         for f, r, o in taps:
-            if params:
-                xb = xf[r][:, o + c0 : o + c1]
-                if c0 == 0:
-                    gw[f] = g @ xb.T
-                else:
-                    gw[f] += g @ xb.T
-            if input_grad:
-                np.matmul(wt[f], g, out=t)
-                gxf[r][:, o + c0 : o + c1] += t
-    grad_weights = (np.ascontiguousarray(gw.transpose(3, 4, 0, 1, 2))
-                    if params else None)
-    if not input_grad:
-        return None, grad_weights, grad_bias
-
+            np.matmul(wt[f], g, out=t)
+            gxf[r][:, o + c0 : o + c1] += t
     gxf = gxf.reshape(s + (c_in,) + q)
     grad_x = np.empty(x_shape)
     for r, dst, src in _phase_windows(x_shape[1:], spec):
         grad_x[src] = gxf[r][dst]
-    return grad_x, grad_weights, grad_bias
+    return grad_x
+
+
+def conv3d_param_grads(cache, grad_out):
+    """(grad_weights, grad_bias) of conv3d.  Per column block and tap, one
+    GEMM of the gradient block by the tap's columns of the cached phases
+    adds into the tap's offset of the weight gradient."""
+    xf, _, _, spec, _, _ = cache
+    grad_out, gf, taps, blocks = _backward_prologue(cache, grad_out)
+    gw = np.zeros(spec.kernel + (spec.out_channels, spec.in_channels))
+    for c0, c1 in blocks:
+        g = gf[:, c0:c1]
+        for f, r, o in taps:
+            gw[f] += g @ xf[r][:, o + c0 : o + c1].T
+    return (np.ascontiguousarray(gw.transpose(3, 4, 0, 1, 2)),
+            grad_out.sum(axis=(1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +477,7 @@ def maxpool3d(x, spec: PoolSpec, argmax=True):
 def maxpool3d_backward(cache, grad_out):
     """Routes each upstream gradient to its argmax position; zeros elsewhere."""
     x_shape, argmax = cache
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != argmax.shape:
-        raise ValidationError(
-            f"maxpool3d backward: upstream shape {grad_out.shape} != {argmax.shape}"
-        )
+    grad_out = _upstream(grad_out, argmax.shape, "maxpool3d")
     grad_x = np.zeros(int(np.prod(x_shape)))
     np.add.at(grad_x, argmax.ravel(), grad_out.ravel())
     return grad_x.reshape(x_shape)
@@ -526,19 +520,16 @@ def dense(x, weights, bias):
 
 
 def dense_backward(cache, grad_out):
-    """Returns (grad_input, grad_weights, grad_bias).  A cache whose input
-    (index 0) is None gives the input gradient alone, with None for both
-    parameter gradients."""
+    """Input gradient of dense, from the weights alone: W^T @ grad_out."""
+    _, weights = cache
+    return weights.T @ _upstream(grad_out, weights.shape[:1], "dense")
+
+
+def dense_param_grads(cache, grad_out):
+    """(grad_weights, grad_bias) of dense."""
     x, weights = cache
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (weights.shape[0],):
-        raise ValidationError(
-            f"dense backward: upstream shape {grad_out.shape} != ({weights.shape[0]},)"
-        )
-    grad_x = weights.T @ grad_out
-    if x is None:
-        return grad_x, None, None
-    return grad_x, np.outer(grad_out, x), grad_out.copy()
+    grad_out = _upstream(grad_out, weights.shape[:1], "dense")
+    return np.outer(grad_out, x), grad_out.copy()
 
 
 def dropout(x, rate: float, mode: str, rng=None):

@@ -13,10 +13,11 @@ cache, for training and for backpropagate's parameter and input gradients;
 (no conv stride phases, no dense inputs), so a saliency backward runs no
 weight GEMM; "none" keeps no cache past the next layer, and its pooling and
 ReLUs skip their argmax and mask, for evaluation, which never
-back-propagates.
+back-propagates.  _backpropagate alone picks the gradients: in training
+the first layer runs `param_grads`, and no input gradient is computed.
 
 Each layer class owns its kind: `out_shape`, `param_shapes`, `forward(x,
-params, run)`, `backward(cache, g, grads)` and `convs(shape)`; shape walks,
+params, run)`, `backward`, `param_grads` and `convs(shape)`; shape walks,
 parameter tables, execution and op counts are loops over those methods.  An
 inception module is a composite of four branches of plain child layers named
 "<module>.<tag>".  A config holds the architecture only: the dropout rate is
@@ -45,8 +46,10 @@ from .kernels import (
     concat_channels_backward,
     conv3d,
     conv3d_backward,
+    conv3d_param_grads,
     dense,
     dense_backward,
+    dense_param_grads,
     dropout,
     dropout_backward,
     maxpool3d,
@@ -57,7 +60,8 @@ from .kernels import (
     softmax_xent,
 )
 from .seeding import derive_seed
-from .volumes import Reader, atomic_write_bytes, check_fields, check_value, seal
+from .volumes import (Reader, atomic_write_bytes, check_fields, check_value,
+                      parse_json, seal)
 
 CONFIG_FORMAT_VERSION = 2
 MODEL_MAGIC = b"V0XN"
@@ -102,14 +106,14 @@ class Layer:
         """Return (output, cache) for one input."""
         raise NotImplementedError
 
-    def backward(self, cache, g, grads: dict, input_grad: bool = True):
-        """Return the input gradient; store parameter gradients in grads,
-        unless the cache was recorded for the input gradient only.
-
-        With input_grad False the caller discards the result, so a layer may
-        skip computing it and return None.
-        """
+    def backward(self, cache, g, grads: dict | None):
+        """Return the input gradient; store parameter gradients in grads
+        unless it is None (a cache recorded for the input gradient only)."""
         return g
+
+    def param_grads(self, cache, g, grads: dict):
+        """Store parameter gradients in grads; returns no input gradient."""
+        self.backward(cache, g, grads)
 
     def convs(self, shape: tuple) -> list:
         """(name, ConvSpec, input extents) for each conv this layer runs."""
@@ -144,11 +148,13 @@ class ConvLayer(Layer):
             cache = (None,) + cache[1:]  # the phases feed only the weight GEMMs
         return out, cache
 
-    def backward(self, cache, g, grads, input_grad=True):
-        g, gw, gb = conv3d_backward(cache, g, input_grad=input_grad)
-        if gw is not None:
-            grads[f"{self.name}.w"], grads[f"{self.name}.b"] = gw, gb
-        return g
+    def backward(self, cache, g, grads):
+        if grads is not None:
+            self.param_grads(cache, g, grads)
+        return conv3d_backward(cache, g)
+
+    def param_grads(self, cache, g, grads):
+        grads[f"{self.name}.w"], grads[f"{self.name}.b"] = conv3d_param_grads(cache, g)
 
     def convs(self, shape):
         return [(self.name, self.spec, shape[1:])]
@@ -170,7 +176,7 @@ class PoolLayer(Layer):
         out, _, cache = maxpool3d(x, self.spec, argmax=run.record != "none")
         return out, cache
 
-    def backward(self, cache, g, grads, input_grad=True):
+    def backward(self, cache, g, grads):
         return maxpool3d_backward(cache, g)
 
 
@@ -181,7 +187,7 @@ class ReluLayer(Layer):
     def forward(self, x, params, run):
         return relu(x, mask=run.record != "none")
 
-    def backward(self, cache, g, grads, input_grad=True):
+    def backward(self, cache, g, grads):
         return relu_backward(cache, g)
 
 
@@ -192,7 +198,7 @@ class DropoutLayer(Layer):
     def forward(self, x, params, run):
         return dropout(x, run.dropout_rate, run.mode, run.gen)
 
-    def backward(self, cache, g, grads, input_grad=True):
+    def backward(self, cache, g, grads):
         return dropout_backward(cache, g)
 
 
@@ -208,7 +214,7 @@ class FlattenLayer(Layer):
     def forward(self, x, params, run):
         return x.reshape(-1), x.shape
 
-    def backward(self, cache, g, grads, input_grad=True):
+    def backward(self, cache, g, grads):
         return g.reshape(cache)
 
 
@@ -235,11 +241,13 @@ class DenseLayer(Layer):
             cache = (None, cache[1])  # the input feeds only the outer product
         return out, cache
 
-    def backward(self, cache, g, grads, input_grad=True):
-        g, gw, gb = dense_backward(cache, g)
-        if gw is not None:
-            grads[f"{self.name}.w"], grads[f"{self.name}.b"] = gw, gb
-        return g
+    def backward(self, cache, g, grads):
+        if grads is not None:
+            self.param_grads(cache, g, grads)
+        return dense_backward(cache, g)
+
+    def param_grads(self, cache, g, grads):
+        grads[f"{self.name}.w"], grads[f"{self.name}.b"] = dense_param_grads(cache, g)
 
 
 @dataclass(frozen=True)
@@ -299,11 +307,10 @@ def _forward_walk(layers, x, params, run: Run):
     return x, entries
 
 
-def _backward_walk(layers, entries, g, grads: dict, input_grad: bool = True):
-    """Walk the layers in reverse; input_grad reaches the first layer only,
-    since every later layer's input gradient feeds the layer before it."""
+def _backward_walk(layers, entries, g, grads: dict | None):
+    """Walk the layers in reverse; returns the first layer's input gradient."""
     for n in range(len(layers) - 1, -1, -1):
-        g = layers[n].backward(entries[n], g, grads, input_grad or n > 0)
+        g = layers[n].backward(entries[n], g, grads)
     return g
 
 
@@ -353,12 +360,12 @@ class InceptionLayer(Layer):
             return out, None
         return out, ([entries for _, entries in walks], widths)
 
-    def backward(self, cache, g, grads, input_grad=True):
+    def backward(self, cache, g, grads):
         caches, widths = cache
-        gs = [_backward_walk(branch, entries, gb, grads, input_grad)
+        gs = [_backward_walk(branch, entries, gb, grads)
               for branch, entries, gb
               in zip(self.branches, caches, concat_channels_backward(widths, g))]
-        return sum(gs[1:], gs[0]) if input_grad else None
+        return sum(gs[1:], gs[0])
 
     def convs(self, shape):
         return [c for branch in self.branches
@@ -524,11 +531,7 @@ def config_to_json(cfg: ArchConfig) -> str:
 
 
 def config_from_json(text: str) -> ArchConfig:
-    try:
-        d = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an int too long to read
-        raise ValidationError(f"malformed architecture config JSON: {e}") from e
-    return config_from_dict(d)
+    return config_from_dict(parse_json(text, "malformed architecture config JSON"))
 
 
 # ---------------------------------------------------------------------------
@@ -715,18 +718,14 @@ def layer_census(layers) -> dict:
 
 @dataclass
 class ForwardCache:
-    """What backward reads; layers and params identify the model.  entries
-    is None when the forward recorded no backward state (record="none")."""
+    """What backward reads; layers and params identify the model, record is
+    the forward's (one of RECORD), and entries is None for record="none"."""
 
     layers: tuple
     params: dict
+    record: str
     entries: list | None
     logits: np.ndarray
-
-
-class InputGradientCache(ForwardCache):
-    """A ForwardCache recorded with record="input": its entries hold what
-    the input gradient needs and no parameter-gradient state."""
 
 
 def forward(model: Model, x, mode: str = "eval", rng=None,
@@ -741,9 +740,8 @@ def forward(model: Model, x, mode: str = "eval", rng=None,
     - "all" keeps every layer's cache, for model_backward and for
       backpropagate's parameter and input gradients;
     - "input" keeps what the input gradient needs: convs drop their stride
-      phases and dense layers their input, so the cache is an
-      InputGradientCache, from which backpropagate returns the input
-      gradient alone and which model_backward refuses;
+      phases and dense layers their input, so backpropagate returns the
+      input gradient alone and model_backward refuses the cache;
     - "none" suits a caller that reads only the probabilities or
       cache.logits: no layer's cache outlives the layer after it, pooling
       skips its argmax and ReLUs their mask, and the returned cache holds
@@ -766,10 +764,8 @@ def forward(model: Model, x, mode: str = "eval", rng=None,
     run = Run(mode, np.random.default_rng(rng) if mode == "train" else None,
               dropout_rate, record)
     probs, entries = _forward_walk(model.layers, x, model.params, run)
-    if record == "none":
-        return probs, ForwardCache(model.layers, model.params, None, entries[-1])
-    cls = InputGradientCache if record == "input" else ForwardCache
-    return probs, cls(model.layers, model.params, entries, entries[-1])
+    kept = None if record == "none" else entries
+    return probs, ForwardCache(model.layers, model.params, record, kept, entries[-1])
 
 
 def backpropagate(model: Model, cache: ForwardCache, grad_logits):
@@ -780,18 +776,19 @@ def backpropagate(model: Model, cache: ForwardCache, grad_logits):
     cache or none ({}) from a record="input" one.  A record="none" cache is
     refused.
     """
-    return _backpropagate(model, cache, grad_logits, input_grad=True)
+    return _backpropagate(model, cache, grad_logits, training=False)
 
 
 def _backpropagate(model: Model, cache: ForwardCache, grad_logits,
-                   input_grad: bool):
+                   training: bool):
     if cache.layers is not model.layers or cache.params is not model.params:
         raise ValidationError("cache was recorded by a different model (stale cache)")
-    if cache.entries is None:
+    record = cache.record
+    if record == "none":
         raise ValidationError(
             "the forward recorded no backward state (record='none'); "
             "run forward with record='all' to back-propagate")
-    if not input_grad and isinstance(cache, InputGradientCache):
+    if training and record == "input":
         raise ValidationError(
             "the forward recorded no parameter-gradient state "
             "(record='input'); run forward with record='all' for parameter "
@@ -801,10 +798,13 @@ def _backpropagate(model: Model, cache: ForwardCache, grad_logits,
         raise ValidationError(
             f"grad_logits shape {grad_logits.shape} != {cache.logits.shape}"
         )
-    grads: dict[str, np.ndarray] = {}
-    g = _backward_walk(model.layers, cache.entries, grad_logits, grads,
-                       input_grad)
-    return grads, g
+    grads = {} if record == "all" else None
+    if training:
+        g = _backward_walk(model.layers[1:], cache.entries[1:], grad_logits, grads)
+        model.layers[0].param_grads(cache.entries[0], g, grads)
+        return grads, None
+    g = _backward_walk(model.layers, cache.entries, grad_logits, grads)
+    return grads or {}, g
 
 
 def model_backward(model: Model, cache: ForwardCache, true_class: int):
@@ -814,7 +814,7 @@ def model_backward(model: Model, cache: ForwardCache, true_class: int):
     The cache must come from a record="all" forward.
     """
     _, loss, grad_logits = softmax_xent(cache.logits, true_class)
-    grads, _ = _backpropagate(model, cache, grad_logits, input_grad=False)
+    grads, _ = _backpropagate(model, cache, grad_logits, training=True)
     missing = set(model.params) - set(grads)
     if missing:
         raise ValidationError(f"gradients missing for {sorted(missing)}")

@@ -98,6 +98,15 @@ def read_text(path) -> str:
             raise ValidationError(f"{path}: not UTF-8 text: {e}") from None
 
 
+def parse_json(text: str, what: str):
+    """json.loads; malformed text, an int too long to read and nesting too
+    deep to parse raise ValidationError, its message opened by `what`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise ValidationError(f"{what}: {e}") from e
+
+
 def parse_key_values(text: str, types: dict, what: str) -> dict:
     """Typed values from `key = value` lines; '#' starts a comment.
 
@@ -355,13 +364,14 @@ def load_manifest(path) -> Manifest:
         raise ValidationError(f"{path}: missing "
                               f"{' or '.join(MANIFEST_ROW_WIDTHS)} header line")
     width = MANIFEST_ROW_WIDTHS[tag]
-    try:
-        metadata = json.loads(header)
-    except ValueError as e:  # JSONDecodeError, or an int too long to read
-        raise ValidationError(f"{path}: malformed metadata JSON: {e}") from e
+    metadata = parse_json(header, f"{path}: malformed metadata JSON")
     base_dir = os.path.dirname(os.path.abspath(path))
+    try:
+        rows = list(csv.reader(lines[1:]))
+    except csv.Error as e:  # e.g. a cell over csv's field size limit
+        raise ValidationError(f"{path}: unreadable manifest row: {e}") from e
     records = []
-    for row in csv.reader(lines[1:]):
+    for row in rows:
         if not row:
             continue
         if len(row) != width:
@@ -376,14 +386,11 @@ def load_manifest(path) -> Manifest:
         records.append(ManifestRecord(
             path=vol_path, label=label or None, subject=subject,
             split=split or None))
-    subjects = [r.subject for r in records]
-    if len(set(subjects)) != len(subjects):
-        dup = next(s for s in subjects if subjects.count(s) > 1)
-        raise ValidationError(f"duplicate subject id {dup!r} in manifest")
-    paths = [r.path for r in records]
-    if len(set(paths)) != len(paths):
-        dup = next(p for p in paths if paths.count(p) > 1)
-        raise ValidationError(f"duplicate volume path {dup!r} in manifest")
+    for what, field in (("subject id", "subject"), ("volume path", "path")):
+        values = [getattr(r, field) for r in records]
+        if len(set(values)) != len(values):
+            dup = next(v for v in values if values.count(v) > 1)
+            raise ValidationError(f"duplicate {what} {dup!r} in manifest")
     manifest = Manifest(records=tuple(records), metadata=metadata,
                         base_dir=base_dir)
     for r in records:

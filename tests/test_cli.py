@@ -776,6 +776,16 @@ class TestSaliency:
                      "--out", str(tmp_path / "sal")]) == 3
         assert "unknown class" in capsys.readouterr().err
 
+    def test_empty_class_list_rejected(self, manifest_path, model_trio,
+                                       tmp_path, capsys):
+        """A --classes list that names no class is a validation error, and
+        no output directory is created."""
+        out = tmp_path / "sal"
+        assert main(["saliency", "--manifest", manifest_path, "--model",
+                     model_trio[0], "--classes", ",", "--out", str(out)]) == 3
+        assert "names no class" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_class_count_mismatch(self, manifest_path, class_mismatch,
                                   no_forward, tmp_path, capsys):
         """A 4-class model is refused before any saliency map is made."""
@@ -829,6 +839,60 @@ class TestTextFiles:
         assert main(argv) == 3
         assert f"{bad}: not UTF-8" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+    @pytest.mark.parametrize("site", ["info --arch-config", "eval --model",
+                                      "train --manifest"])
+    def test_deeply_nested_json(self, site, dataset_dir, manifest_path,
+                                arch_path, train_cfg_path, model_trio,
+                                tmp_path, capsys):
+        """JSON nested too deep for the parser to read (200,000 levels in an
+        arch config or a manifest header, 100,000 in a sealed model file's
+        config) is a data error, not a RecursionError traceback."""
+        out = tmp_path / "out"
+        if site == "info --arch-config":
+            bad = tmp_path / "nested.json"
+            bad.write_text("[" * 200_000 + "]" * 200_000)
+            argv = ["info", "--arch-config", str(bad)]
+        elif site == "eval --model":
+            blob = file_bytes(model_trio[0])
+            (cfg_len,) = struct.unpack("<I", blob[8:12])
+            text = b"[" * 100_000 + b"]" * 100_000
+            body = (blob[:8] + struct.pack("<I", len(text)) + text
+                    + blob[12 + cfg_len:-4])
+            bad = tmp_path / "nested.v0xn"
+            bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+            argv = ["eval", "--manifest", manifest_path, "--model", str(bad)]
+        else:
+            data = tmp_path / "data"
+            shutil.copytree(dataset_dir, data)
+            bad = data / "manifest.vman"
+            _, rows = bad.read_text().split("\n", 1)
+            bad.write_text("#VMAN2 " + "[" * 200_000 + "]" * 200_000 + "\n"
+                           + rows)
+            argv = ["train", "--manifest", str(bad), "--arch-config",
+                    arch_path, "--train-config", train_cfg_path,
+                    "--out", str(out)]
+        assert main(argv) == 3
+        assert "malformed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_cell_over_csv_field_limit(self, dataset_dir, arch_path,
+                                                train_cfg_path, tmp_path,
+                                                capsys):
+        """A manifest cell longer than csv's default field limit (131,072
+        characters) is a data error naming the manifest."""
+        def edit(rows):
+            cells = rows[0].split(",")
+            cells[2] = "s" * 200_000
+            return [",".join(cells)] + rows[1:]
+        manifest = edited_manifest(dataset_dir, tmp_path, edit)
+        out = tmp_path / "out"
+        assert main(["train", "--manifest", manifest, "--arch-config",
+                     arch_path, "--train-config", train_cfg_path,
+                     "--out", str(out)]) == 3
+        assert f"{manifest}: unreadable manifest row" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInfo:

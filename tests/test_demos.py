@@ -32,6 +32,6 @@ def test_demo_runs(demo, tmp_path):
     assert done.returncode == 0, done.stderr
     assert list(tmp_path.iterdir()) == []
     if demo.startswith("01_"):
-        # demo 01 calls conv3d_backward directly and asserts its finite
+        # demo 01 calls conv3d_param_grads directly and asserts its finite
         # difference check
         assert "backward pass agrees with central differences" in done.stdout

@@ -17,8 +17,10 @@ from voxcnn.kernels import (
     concat_channels_backward,
     conv3d,
     conv3d_backward,
+    conv3d_param_grads,
     dense,
     dense_backward,
+    dense_param_grads,
     dropout,
     dropout_backward,
     maxpool3d,
@@ -122,7 +124,8 @@ class TestConv3d:
         b = rng.standard_normal(3)
         out, cache = conv3d(x, w, b, spec)
         g = rng.standard_normal(out.shape)
-        gx, gw, gb = conv3d_backward(cache, g)
+        gx = conv3d_backward(cache, g)
+        gw, gb = conv3d_param_grads(cache, g)
 
         def loss_x(xv):
             o, _ = conv3d(xv, w, b, spec)
@@ -149,7 +152,7 @@ class TestConv3d:
         b = rng.standard_normal(2)
         out, cache = conv3d(x, w, b, spec)
         g = rng.standard_normal(out.shape)
-        gx, _, _ = conv3d_backward(cache, g)
+        gx = conv3d_backward(cache, g)
 
         def loss_x(xv):
             o, _ = conv3d(xv, w, b, spec)
@@ -167,7 +170,8 @@ class TestConv3d:
         out, cache = conv3d(x, w, rng.standard_normal(cout),
                             ConvSpec(cin, cout, k, s, p))
         g = rng.standard_normal(out.shape)
-        for got, ref in zip(conv3d_backward(cache, g),
+        for got, ref in zip((conv3d_backward(cache, g),)
+                            + conv3d_param_grads(cache, g),
                             conv3d_backward_loops(x, w, g, s, p)):
             assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
@@ -187,10 +191,11 @@ class TestConv3d:
         out, cache = conv3d(x, w, b, ConvSpec(cin, cout, k, s, p))
         assert_allclose(out, conv3d_loops(x, w, b, s, p), rtol=1e-12, atol=1e-12)
         g = rng.standard_normal(out.shape)
-        for got, ref in zip(conv3d_backward(cache, g),
+        for got, ref in zip((conv3d_backward(cache, g),)
+                            + conv3d_param_grads(cache, g),
                             conv3d_backward_loops(x, w, g, s, p)):
             assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-        assert len(seen) == 2
+        assert len(seen) == 3  # the forward, then each backward kernel
         for blocks in seen:
             assert len(blocks) >= 3
             assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
@@ -229,9 +234,10 @@ class TestConv3d:
     @pytest.mark.parametrize("cin, cout, sp, k, s, p", CONV_CASES)
     def test_phase_less_backward_matches_loop_reference(self, monkeypatch, shrunk,
                                                         cin, cout, sp, k, s, p):
-        """A cache without its stride phases gives the loop reference's input
-        gradient and None for both parameter gradients, on every case of
-        CONV_CASES, in one column block and in at least three."""
+        """conv3d_backward, the input-gradient kernel, never reads the stride
+        phases: a cache without them gives the loop reference's input
+        gradient on every case of CONV_CASES, in one column block and in at
+        least three."""
         if shrunk:
             shrink_blocks(monkeypatch)
         rng = np.random.default_rng(sum(sp) + 7 * cin)
@@ -240,32 +246,30 @@ class TestConv3d:
         out, cache = conv3d(x, w, rng.standard_normal(cout),
                             ConvSpec(cin, cout, k, s, p))
         g = rng.standard_normal(out.shape)
-        gx, gw, gb = conv3d_backward((None,) + cache[1:], g, input_grad=True)
-        assert gw is None and gb is None
+        gx = conv3d_backward((None,) + cache[1:], g)
         assert_allclose(gx, conv3d_backward_loops(x, w, g, s, p)[0],
                         rtol=1e-12, atol=1e-12)
 
     def test_backward_without_input_gradient(self, monkeypatch):
-        """input_grad=False returns None for the input gradient and the same
-        weight and bias gradients, bit for bit, at the real block budget and
-        over several column blocks."""
-        rng = np.random.default_rng(37)
+        """conv3d_param_grads, the backward without the input gradient, gives
+        the loop reference's weight and bias gradients on every case of
+        CONV_CASES, in one column block and in at least three."""
         for shrunk in (False, True):
             with monkeypatch.context() as mp:
-                if shrunk:
-                    shrink_blocks(mp)
-                for spec in (ConvSpec(2, 3, (3, 3, 3), 1, 1),
-                             ConvSpec(3, 2, (5, 5, 5), 2, 2)):
-                    x = rng.standard_normal((spec.in_channels, 9, 8, 7))
-                    w = rng.standard_normal((spec.out_channels, spec.in_channels)
-                                            + spec.kernel)
-                    out, cache = conv3d(x, w, np.zeros(spec.out_channels), spec)
+                seen = shrink_blocks(mp) if shrunk else []
+                for cin, cout, sp, k, s, p in CONV_CASES:
+                    rng = np.random.default_rng(sum(sp) + 7 * cin)
+                    x = rng.standard_normal((cin,) + sp)
+                    w = rng.standard_normal((cout, cin) + k)
+                    out, cache = conv3d(x, w, rng.standard_normal(cout),
+                                        ConvSpec(cin, cout, k, s, p))
                     g = rng.standard_normal(out.shape)
-                    _, gw, gb = conv3d_backward(cache, g)
-                    none, gw2, gb2 = conv3d_backward(cache, g, input_grad=False)
-                    assert none is None
-                    assert_array_equal(gw2, gw)
-                    assert_array_equal(gb2, gb)
+                    gw, gb = conv3d_param_grads(cache, g)
+                    _, rw, rb = conv3d_backward_loops(x, w, g, s, p)
+                    assert_allclose(gw, rw, rtol=1e-12, atol=1e-12)
+                    assert_allclose(gb, rb, rtol=1e-12, atol=1e-12)
+                    if shrunk:
+                        assert len(seen[-1]) >= 3
 
     @pytest.mark.parametrize("spec, sp", [
         (ConvSpec(8, 8, 3, 1, 1), (32, 40, 32)),
@@ -322,6 +326,16 @@ class TestConv3d:
         x = np.zeros((1, 5, 5, 5))
         with pytest.raises(ValidationError):
             conv3d(x, np.zeros((3, 2, 3, 3, 3)), np.zeros(3), spec)
+
+    def test_backward_upstream_shape_checked(self):
+        """Both conv backward kernels refuse an upstream gradient that does
+        not match the output."""
+        spec = ConvSpec(2, 3, (3, 3, 3))
+        _, cache = conv3d(np.zeros((2, 5, 5, 5)), np.zeros((3, 2, 3, 3, 3)),
+                          np.zeros(3), spec)
+        for kernel in (conv3d_backward, conv3d_param_grads):
+            with pytest.raises(ValidationError, match="upstream shape"):
+                kernel(cache, np.zeros((3, 3, 3, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(scale=st.floats(-3.0, 3.0, allow_nan=False), seed=st.integers(0, 2**16))
@@ -520,7 +534,8 @@ class TestDense:
         b = rng.standard_normal(3)
         out, cache = dense(x, w, b)
         g = rng.standard_normal(3)
-        gx, gw, gb = dense_backward(cache, g)
+        gx = dense_backward(cache, g)
+        gw, gb = dense_param_grads(cache, g)
 
         assert relative_error(gx, numeric_gradient(
             lambda xv: float((dense(xv, w, b)[0] * g).sum()), x)) < 1e-5
@@ -534,14 +549,24 @@ class TestDense:
             dense(np.zeros(5), np.zeros((3, 4)), np.zeros(3))
 
     def test_backward_without_input(self):
-        """A cache without its input gives the same input gradient bit for
-        bit and None for both parameter gradients."""
+        """dense_backward, the input-gradient kernel, never reads the input:
+        a cache without it gives W^T g, and dense_param_grads gives the
+        outer product g x^T and g, each bit for bit."""
         rng = np.random.default_rng(41)
         x, w, g = rng.standard_normal(6), rng.standard_normal((2, 6)), rng.standard_normal(2)
         _, cache = dense(x, w, np.zeros(2))
-        gx, gw, gb = dense_backward((None, cache[1]), g)
-        assert gw is None and gb is None
-        assert_array_equal(gx, dense_backward(cache, g)[0])
+        assert_array_equal(dense_backward((None, cache[1]), g), w.T @ g)
+        gw, gb = dense_param_grads(cache, g)
+        assert_array_equal(gw, np.outer(g, x))
+        assert_array_equal(gb, g)
+
+    def test_upstream_shape_checked(self):
+        """Both dense backward kernels refuse an upstream gradient that does
+        not match the output."""
+        _, cache = dense(np.zeros(6), np.zeros((2, 6)), np.zeros(2))
+        for kernel in (dense_backward, dense_param_grads):
+            with pytest.raises(ValidationError, match="upstream shape"):
+                kernel(cache, np.zeros(3))
 
 
 class TestRelu:

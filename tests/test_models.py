@@ -73,6 +73,19 @@ def micro_model(name, seed=0):
     return build_model(arch_preset(name), seed=seed)
 
 
+def conv_caches(layers, entries) -> set:
+    """The id of every conv's cache in a forward's entries, inception
+    children included."""
+    ids = set()
+    for l, c in zip(layers, entries):
+        if l.kind == "conv3d":
+            ids.add(id(c))
+        elif l.kind == "concat-group":
+            for branch, sub in zip(l.branches, c[0]):
+                ids |= conv_caches(branch, sub)
+    return ids
+
+
 def manual_inception(layer, x, params):
     """Recompose an inception module from bare kernel calls."""
     cin = layer.in_channels
@@ -441,8 +454,8 @@ class TestForward:
                 tracemalloc.stop()
         held = {k: v for k, v in vars(cache).items()
                 if k not in ("layers", "params")}
-        assert held["entries"] is None
-        assert set(held) == {"entries", "logits"}
+        assert held["entries"] is None and held["record"] == "none"
+        assert set(held) == {"record", "entries", "logits"}
         assert held["logits"].shape == (model.class_count,)
         assert peaks["none"] < peaks["all"]
         assert peaks["all+backward"] < 28 * 2**20
@@ -618,28 +631,42 @@ class TestBackward:
             assert err < 1e-4
 
     def test_training_gradients_equal_backpropagate(self, monkeypatch):
-        """model_backward skips the input gradient of the first conv only,
-        and yields the same parameter gradients as backpropagate, bit for
-        bit."""
-        flags = []
-        real = voxcnn.models.conv3d_backward
+        """model_backward runs conv3d_param_grads on every conv and
+        conv3d_backward on every conv but the first, whose input gradient
+        training never reads; backpropagate runs both on every conv.  Both
+        yield the same parameter gradients, bit for bit."""
+        calls = []
 
-        def recording(cache, g, input_grad=True):
-            flags.append(input_grad)
-            return real(cache, g, input_grad)
+        def spy(name):
+            real = getattr(voxcnn.models, name)
 
-        monkeypatch.setattr(voxcnn.models, "conv3d_backward", recording)
+            def recording(cache, g):
+                calls.append((name, id(cache)))
+                return real(cache, g)
+
+            monkeypatch.setattr(voxcnn.models, name, recording)
+
+        spy("conv3d_backward")
+        spy("conv3d_param_grads")
         x = np.random.default_rng(14).normal(size=(3, 9, 9, 9))
         for name in MICRO_PRESETS:
             model = micro_model(name)
             _, cache = forward(model, x, mode="train", rng=0)
-            flags.clear()
+            convs = conv_caches(model.layers, cache.entries)
+            assert model.layers[0].kind == "conv3d"
+            first = id(cache.entries[0])
+            calls.clear()
             grads, _ = model_backward(model, cache, 1)
-            assert flags.count(False) == 1 and flags[-1] is False
+            assert sorted(c for n, c in calls if n == "conv3d_param_grads") \
+                == sorted(convs)
+            assert sorted(c for n, c in calls if n == "conv3d_backward") \
+                == sorted(convs - {first})
             _, _, grad_logits = softmax_xent(cache.logits, 1)
-            flags.clear()
+            calls.clear()
             full, grad_x = backpropagate(model, cache, grad_logits)
-            assert False not in flags
+            for kernel in ("conv3d_param_grads", "conv3d_backward"):
+                assert sorted(c for n, c in calls if n == kernel) \
+                    == sorted(convs)
             assert grad_x.shape == x.shape
             assert set(grads) == set(full)
             for k in grads:

@@ -119,8 +119,9 @@ class TestSaliencyMap:
     def test_lookup_sites(self, monkeypatch):
         """saliency_map calls voxcnn.saliency.forward with record="input" and
         then voxcnn.saliency.backpropagate, and its convs reach
-        voxcnn.models.conv3d_backward: a wrapper set at each of these
-        globals sees every call, as the benchmark's tracer needs."""
+        voxcnn.models.conv3d_backward and never conv3d_param_grads: a
+        wrapper set at each of these globals sees every call, as the
+        benchmark's tracer needs."""
         calls = []
 
         def spy(owner, name, note=lambda args, kwargs: None):
@@ -135,6 +136,7 @@ class TestSaliencyMap:
         spy(voxcnn.saliency, "forward", lambda a, kw: kw.get("record", "all"))
         spy(voxcnn.saliency, "backpropagate")
         spy(voxcnn.models, "conv3d_backward")
+        spy(voxcnn.models, "conv3d_param_grads")
         saliency_map(micro(), np.zeros((3, 9, 9, 9)), 1)
         assert calls == ([("forward", "input"), ("backpropagate", None)]
                          + [("conv3d_backward", None)] * 5)
