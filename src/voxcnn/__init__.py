@@ -8,6 +8,6 @@ and binary container formats for models and volumes.
 
 from .errors import NumericError, ValidationError, VoxcnnError
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = ["VoxcnnError", "ValidationError", "NumericError", "__version__"]

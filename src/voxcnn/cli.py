@@ -8,6 +8,7 @@ command leaves no partial artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -213,9 +214,9 @@ def _eval_one(name, result, lines, out_files):
 
 
 def cmd_eval(args) -> int:
-    models = [load_model_file(p) for p in args.model]
-    if len(models) not in (1, 2, 3):
+    if len(args.model) not in (1, 2, 3):
         raise ValidationError("eval accepts between 1 and 3 --model files")
+    models = [load_model_file(p) for p in args.model]
     dataset = VolumeDataset.from_manifest(args.manifest)
     for path, m in zip(args.model, models):
         _check_model(dataset, m.config, path)
@@ -328,6 +329,8 @@ def cmd_saliency(args) -> int:
     class_names = [c.strip() for c in args.classes.split(",") if c.strip()]
     if not class_names:
         raise ValidationError(f"--classes {args.classes!r} names no class")
+    if len(set(class_names)) != len(class_names):
+        raise ValidationError(f"--classes {args.classes!r} repeats a class")
     class_ids = [class_index(cname) for cname in class_names]
     model = load_model_file(args.model)
     dataset = VolumeDataset.from_manifest(args.manifest)
@@ -384,7 +387,7 @@ def cmd_info(args) -> int:
     for name, shape in walk[1:]:
         print(f"{name},{tuple(shape)}")
     shapes = parameter_shapes(layers)
-    total = sum(int(np.prod(s)) for s in shapes.values())
+    total = sum(math.prod(s) for s in shapes.values())
     print(f"parameters: {total}")
     census = layer_census(layers)
     print(f"census: {census['conv']} conv, {census['dense']} dense, "

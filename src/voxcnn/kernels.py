@@ -478,7 +478,7 @@ def maxpool3d_backward(cache, grad_out):
     """Routes each upstream gradient to its argmax position; zeros elsewhere."""
     x_shape, argmax = cache
     grad_out = _upstream(grad_out, argmax.shape, "maxpool3d")
-    grad_x = np.zeros(int(np.prod(x_shape)))
+    grad_x = np.zeros(math.prod(x_shape))
     np.add.at(grad_x, argmax.ravel(), grad_out.ravel())
     return grad_x.reshape(x_shape)
 
@@ -631,8 +631,8 @@ def op_count(spec: ConvSpec, input_spatial, mode: str = "paper-convention") -> O
     if mode not in ("paper-convention", "standard"):
         raise ValidationError(f"op_count: unknown mode {mode!r}")
     out_sp = spec.out_spatial(_as_triple(input_spatial))
-    out_vox = int(np.prod(out_sp))
-    kvol = int(np.prod(spec.kernel))
+    out_vox = math.prod(out_sp)
+    kvol = math.prod(spec.kernel)
     mults = out_vox * kvol * spec.in_channels * spec.out_channels
     if mode == "paper-convention":
         adds = out_vox * spec.out_channels

@@ -32,6 +32,7 @@ by their module-global name at call time, so a wrapper set on e.g.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple, Union
@@ -60,8 +61,7 @@ from .kernels import (
     softmax_xent,
 )
 from .seeding import derive_seed
-from .volumes import (Reader, atomic_write_bytes, check_fields, check_value,
-                      parse_json, seal)
+from .volumes import Reader, atomic_write_bytes, check_fields, parse_json, seal
 
 CONFIG_FORMAT_VERSION = 2
 MODEL_MAGIC = b"V0XN"
@@ -209,7 +209,7 @@ class FlattenLayer(Layer):
     def out_shape(self, shape):
         if len(shape) != 4:
             raise ValidationError(f"{self.name}: expects a volume input")
-        return (int(np.prod(shape)),)
+        return (math.prod(shape),)
 
     def forward(self, x, params, run):
         return x.reshape(-1), x.shape
@@ -509,15 +509,11 @@ def config_from_dict(d: dict) -> ArchConfig:
     if arch not in _ARCHITECTURES:
         raise ValidationError(f"unknown architecture {arch!r}")
     version = d.get("format_version", CONFIG_FORMAT_VERSION)
-    if version not in (1, CONFIG_FORMAT_VERSION):
+    if version != CONFIG_FORMAT_VERSION:
         raise ValidationError(f"unsupported config format version {version}")
     cls, _ = _ARCHITECTURES[arch]
     kwargs = {k: v for k, v in d.items()
               if k not in ("architecture", "format_version")}
-    if version == 1:
-        # version 1 also held a dropout rate, which never reached training
-        check_value(kwargs.pop("dropout_rate", 0.5), 0.5,
-                    "config field 'dropout_rate'")
     names = {f.name for f in fields(cls)}
     for k in kwargs:
         if k not in names:
@@ -585,7 +581,7 @@ def _init_params(shapes: dict, seed: int) -> dict:
         if name.endswith(".b"):
             params[name] = np.zeros(shape)
         else:
-            fan_in = int(np.prod(shape[1:]))
+            fan_in = math.prod(shape[1:])
             params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
     return params
 
@@ -833,8 +829,8 @@ def save_model(model: Model) -> bytes:
     u32 tensor count | directory (u16 name length, name, u8 ndim, u32 dims),
     sorted by tensor name | payload: float64 little-endian tensor data in
     directory order | u32 CRC-32 (zlib) of every preceding byte: the
-    framing of volumes.seal and volumes.Reader.  Version 1 is the same
-    layout without the CRC; load_model still reads it.
+    framing of volumes.seal and volumes.Reader.  load_model reads this
+    version only.
 
     A non-finite tensor raises NumericError, as load_model would refuse it.
     """
@@ -862,7 +858,7 @@ def save_model(model: Model) -> bytes:
 
 def load_model(data: bytes) -> Model:
     r = Reader(data, "model")
-    r.open(MODEL_MAGIC, {1: False, MODEL_FORMAT_VERSION: True})
+    r.open(MODEL_MAGIC, MODEL_FORMAT_VERSION)
     config = config_from_json(r.text("<I"))
     layers = build_layers(config)
     expected = parameter_shapes(layers)
@@ -887,7 +883,7 @@ def load_model(data: bytes) -> Model:
         raise ValidationError("model file tensor directory incomplete or unsorted")
     params = {}
     for name, shape in directory:
-        raw = r.take(8 * int(np.prod(shape)))
+        raw = r.take(8 * math.prod(shape))
         params[name] = np.frombuffer(raw, dtype="<f8").astype(
             np.float64).reshape(shape)
         if not np.isfinite(params[name]).all():

@@ -92,21 +92,19 @@ TRAIN_PRESETS = {
 }
 
 
-def arch_preset(name: str) -> ArchConfig:
+def _lookup(table: dict, name: str, what: str):
     try:
-        return ARCH_PRESETS[name]
+        return table[name]
     except KeyError:
-        known = ", ".join(sorted(ARCH_PRESETS))
+        known = ", ".join(sorted(table))
         raise ValidationError(
-            f"unknown architecture preset {name!r} (known: {known})"
+            f"unknown {what} preset {name!r} (known: {known})"
         ) from None
+
+
+def arch_preset(name: str) -> ArchConfig:
+    return _lookup(ARCH_PRESETS, name, "architecture")
 
 
 def train_preset(name: str) -> TrainConfig:
-    try:
-        return TRAIN_PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(TRAIN_PRESETS))
-        raise ValidationError(
-            f"unknown training preset {name!r} (known: {known})"
-        ) from None
+    return _lookup(TRAIN_PRESETS, name, "training")

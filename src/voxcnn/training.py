@@ -25,20 +25,19 @@ from .seeding import derive_seed
 from .volumes import check_fields, parse_key_values
 
 
+LR_FACTOR = 0.75
+LR_PERIOD_EPOCHS = 256
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 1024
     lr0: float = 1e-5
-    lr_factor: float = 0.75
-    lr_period_epochs: int = 256
     batch_size: int = 32
     l2_lambda: float = 0.1
     dropout_rate: float = 0.5
     validation_freq_iters: int = 128
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         check_fields(self, "training config")
@@ -46,10 +45,6 @@ class TrainConfig:
             raise ValidationError("epochs must be non-negative")
         if self.lr0 <= 0:
             raise ValidationError("lr0 must be positive")
-        if not 0 < self.lr_factor <= 1:
-            raise ValidationError("lr_factor must be in (0, 1]")
-        if self.lr_period_epochs < 1:
-            raise ValidationError("lr_period_epochs must be positive")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be at least 1")
         if self.l2_lambda < 0:
@@ -58,10 +53,6 @@ class TrainConfig:
             raise ValidationError("dropout_rate must be in [0, 1)")
         if self.validation_freq_iters < 1:
             raise ValidationError("validation_freq_iters must be positive")
-        if not 0 <= self.adam_beta1 < 1 or not 0 <= self.adam_beta2 < 1:
-            raise ValidationError("adam betas must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValidationError("adam_eps must be positive")
 
     def to_text(self) -> str:
         lines = [f"{f.name} = {getattr(self, f.name)!r}" for f in fields(self)]
@@ -264,7 +255,7 @@ def init_adam_state(params: dict) -> AdamState:
 def lr_at_epoch(config: TrainConfig, epoch: int) -> float:
     if epoch < 0:
         raise ValidationError("epoch must be non-negative")
-    return config.lr0 * config.lr_factor ** (epoch // config.lr_period_epochs)
+    return config.lr0 * LR_FACTOR ** (epoch // LR_PERIOD_EPOCHS)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
@@ -402,8 +393,7 @@ def train(model: Model, dataset, split_plan: SplitPlan, config: TrainConfig,
                 total_loss = data_loss + penalty
                 if not math.isfinite(total_loss):
                     raise NumericError("non-finite loss")
-                adam_step(model.params, grad_sum, state, lr,
-                          config.adam_beta1, config.adam_beta2, config.adam_eps)
+                adam_step(model.params, grad_sum, state, lr)
             except NumericError as e:
                 raise NumericError(f"iteration {iteration}: {e}") from e
             since_ckpt.append(total_loss)

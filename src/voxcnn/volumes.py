@@ -2,7 +2,8 @@
 
 The volume (`.vvol`) and model (`.v0xn`, voxcnn.models) containers share
 one framing, written by `seal` and read by `Reader`: magic, u32 version,
-fields, and for a sealed version a u32 CRC-32 of every preceding byte.
+fields, and a u32 CRC-32 of every preceding byte.  Each reader accepts
+only the one version the library writes.
 
 Volume files hold one 3-channel volume (GM, WM, CSF order) as 32-bit floats;
 computation elsewhere in the package is 64-bit, so 32-bit is purely a storage
@@ -24,9 +25,7 @@ format.  Byte layout, all integers little-endian:
 
 A manifest is a text file whose first line is "#VMAN2 <json metadata>"
 followed by one CSV record per volume: path,label,subject,split (path
-relative to the manifest's directory; label and split may be empty).  A
-"#VMAN1" manifest still loads: its rows carry a fifth cell, a fold, which is
-not read.
+relative to the manifest's directory; label and split may be empty).
 
 The phantom generator stands in for preprocessed MRI: an ellipsoidal head
 with a CSF rim, GM shell and WM core, plus two class-dependent features --
@@ -63,8 +62,6 @@ from .seeding import derive_seed
 VOLUME_MAGIC = b"VVOL"
 VOLUME_FORMAT_VERSION = 1
 MANIFEST_TAG = "#VMAN2"
-# fields per manifest row, by header tag
-MANIFEST_ROW_WIDTHS = {"#VMAN1": 5, MANIFEST_TAG: 4}
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -235,21 +232,19 @@ class Reader:
         self.pos = 0
         self.end = len(self.data)
 
-    def open(self, magic: bytes, versions: dict) -> None:
-        """Check the magic and the u32 version; `versions` maps each readable
-        version to whether it is sealed.  A sealed file's checksum is checked
-        and its trailer put outside the readable range."""
+    def open(self, magic: bytes, version: int) -> None:
+        """Check the magic, the u32 version (it must be `version`) and the
+        checksum, and put the CRC trailer outside the readable range."""
         if self.take(len(magic)) != magic:
             raise ValidationError(f"not a {self.what} file (bad magic)")
-        (version,) = self.unpack("<I")
-        if version not in versions:
+        (found,) = self.unpack("<I")
+        if found != version:
             raise ValidationError(
-                f"unsupported {self.what} format version {version}")
-        if versions[version]:
-            self.end -= 4
-            body, crc = self.data[:self.end], self.data[self.end:]
-            if self.end < self.pos or zlib.crc32(body) != int.from_bytes(crc, "little"):
-                raise ValidationError(f"{self.what} file checksum mismatch")
+                f"unsupported {self.what} format version {found}")
+        self.end -= 4
+        body, crc = self.data[:self.end], self.data[self.end:]
+        if self.end < self.pos or zlib.crc32(body) != int.from_bytes(crc, "little"):
+            raise ValidationError(f"{self.what} file checksum mismatch")
 
     def take(self, n: int) -> memoryview:
         """The next n bytes, as a view: no copy is made."""
@@ -294,7 +289,7 @@ def write_volume(record: VolumeRecord) -> bytes:
 
 def read_volume(data: bytes) -> VolumeRecord:
     r = Reader(data, "volume")
-    r.open(VOLUME_MAGIC, {VOLUME_FORMAT_VERSION: True})
+    r.open(VOLUME_MAGIC, VOLUME_FORMAT_VERSION)
     d, h, w, channels = r.unpack("<IIII")
     if channels != 3:
         raise ValidationError(f"expected 3 channels, file has {channels}")
@@ -360,10 +355,8 @@ def load_manifest(path) -> Manifest:
     """
     lines = read_text(path).splitlines()
     tag, space, header = (lines[0] if lines else "").partition(" ")
-    if tag not in MANIFEST_ROW_WIDTHS or not space:
-        raise ValidationError(f"{path}: missing "
-                              f"{' or '.join(MANIFEST_ROW_WIDTHS)} header line")
-    width = MANIFEST_ROW_WIDTHS[tag]
+    if tag != MANIFEST_TAG or not space:
+        raise ValidationError(f"{path}: missing {MANIFEST_TAG} header line")
     metadata = parse_json(header, f"{path}: malformed metadata JSON")
     base_dir = os.path.dirname(os.path.abspath(path))
     try:
@@ -374,11 +367,11 @@ def load_manifest(path) -> Manifest:
     for row in rows:
         if not row:
             continue
-        if len(row) != width:
+        if len(row) != 4:
             raise ValidationError(
-                f"{path}: {tag} manifest rows need {width} fields, got {row!r}"
+                f"{path}: {MANIFEST_TAG} manifest rows need 4 fields, got {row!r}"
             )
-        vol_path, label, subject, split = (c.strip() for c in row[:4])
+        vol_path, label, subject, split = (c.strip() for c in row)
         if label and label not in CLASSES:
             raise ValidationError(f"{path}: unknown label {label!r}")
         if split not in ("", "train", "val", "test"):

@@ -6,9 +6,11 @@ the files each command leaves behind.  Datasets and models are kept tiny
 well under a minute.
 """
 
+import ast
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import struct
@@ -319,7 +321,7 @@ class TestTrain:
         assert exported == tagged
 
     @pytest.mark.parametrize("key,value", [
-        ("lr0", "nan"), ("adam_eps", "nan"), ("l2_lambda", "inf"),
+        ("lr0", "nan"), ("dropout_rate", "nan"), ("l2_lambda", "inf"),
     ])
     def test_nonfinite_config_value(self, manifest_path, arch_path, tmp_path,
                                     capsys, key, value):
@@ -478,6 +480,19 @@ class TestEval:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_model_count_checked_before_loading(self, manifest_path,
+                                                model_trio, tmp_path, capsys):
+        """Four --model paths are refused for their count before any is
+        read, so a missing fourth file is not what is reported."""
+        out = tmp_path / "never"
+        argv = ["eval", "--manifest", manifest_path, "--out", str(out)]
+        for path in model_trio + [str(tmp_path / "missing.v0xn")]:
+            argv += ["--model", path]
+        assert main(argv) == 3
+        assert ("eval accepts between 1 and 3 --model files"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_model_file(self, manifest_path, capsys):
         """A nonexistent model path is reported as a data error."""
         assert main(["eval", "--manifest", manifest_path, "--model",
@@ -605,7 +620,7 @@ class TestEval:
         shutil.copytree(dataset_dir, data)
         path = data / "manifest.vman"
         _, rows = path.read_text().split("\n", 1)
-        path.write_text('#VMAN1 {"seed": ' + "1" * 5000 + "}\n" + rows)
+        path.write_text('#VMAN2 {"seed": ' + "1" * 5000 + "}\n" + rows)
         assert main(["eval", "--manifest", str(path), "--model",
                      model_trio[0], "--split", "all"]) == 3
         assert "malformed metadata JSON" in capsys.readouterr().err
@@ -786,6 +801,17 @@ class TestSaliency:
         assert "names no class" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_class_rejected(self, manifest_path, model_trio,
+                                     no_forward, tmp_path, capsys):
+        """A --classes list naming a class twice is a validation error
+        before any map is computed or written."""
+        out = tmp_path / "sal"
+        assert main(["saliency", "--manifest", manifest_path, "--model",
+                     model_trio[0], "--classes", "AD,AD",
+                     "--out", str(out)]) == 3
+        assert "repeats a class" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_class_count_mismatch(self, manifest_path, class_mismatch,
                                   no_forward, tmp_path, capsys):
         """A 4-class model is refused before any saliency map is made."""
@@ -895,6 +921,51 @@ class TestTextFiles:
         assert not out.exists()
 
 
+class TestOldFormats:
+    """Each reader accepts only the version the library writes: an older
+    file is a data error, and the command writes nothing."""
+
+    @pytest.mark.parametrize("site", ["model v1", "arch config v1",
+                                      "manifest v1", "train config adam_eps"])
+    def test_refused(self, site, dataset_dir, manifest_path, arch_path,
+                     train_cfg_path, model_trio, tmp_path, capsys):
+        out = tmp_path / "out"
+        command = "train"
+        inputs = {"--manifest": manifest_path, "--arch-config": arch_path,
+                  "--train-config": train_cfg_path}
+        if site == "model v1":
+            blob = file_bytes(model_trio[0])
+            bad = tmp_path / "v1.v0xn"
+            bad.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:-4])
+            command = "eval"
+            inputs = {"--manifest": manifest_path, "--model": str(bad)}
+            message = "unsupported model format version 1"
+        elif site == "arch config v1":
+            bad = tmp_path / "arch.json"
+            bad.write_text(json.dumps(dict(config_to_dict(tiny_arch()),
+                                           format_version=1)))
+            inputs["--arch-config"] = str(bad)
+            message = "unsupported config format version 1"
+        elif site == "manifest v1":
+            data = tmp_path / "data"
+            shutil.copytree(dataset_dir, data)
+            bad = data / "manifest.vman"
+            head, *rows = bad.read_text().splitlines()
+            bad.write_text("\n".join(["#VMAN1" + head[len("#VMAN2"):]]
+                                     + [f"{r},0" for r in rows]) + "\n")
+            inputs["--manifest"] = str(bad)
+            message = "missing #VMAN2 header line"
+        else:
+            bad = tmp_path / "t.cfg"
+            bad.write_text(quick_train_config().to_text() + "adam_eps = 1e-8\n")
+            inputs["--train-config"] = str(bad)
+            message = "unknown key 'adam_eps'"
+        argv = [command] + [a for pair in inputs.items() for a in pair]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestInfo:
     def test_probe_conv_counts(self, capsys):
         """The probe prints both counting modes for a 3x3x3 kernel on a
@@ -922,6 +993,23 @@ class TestInfo:
         text = capsys.readouterr().out
         assert "classification heads: 1 (no auxiliary heads)" in text
         assert "census: 3 conv, 1 dense, 9 inception modules" in text
+
+    def test_sizes_beyond_int64_are_exact(self, capsys):
+        """A flatten width and a parameter total past 2**63 print exactly,
+        not wrapped to 64 bits."""
+        extent = 40_000_000
+        assert main(["info", "--arch-config", "alexnet3d", "--input-shape",
+                     f"{extent},{extent},{extent}"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        i = next(i for i, l in enumerate(lines) if l.startswith("flatten,"))
+        width = math.prod(ast.literal_eval(lines[i - 1].split(",", 1)[1]))
+        assert width > 2 ** 63
+        assert lines[i] == f"flatten,({width},)"
+        shapes = parameter_shapes(build_layers(replace(
+            arch_preset("alexnet3d"), input_shape=(3, extent, extent, extent))))
+        assert shapes["fc1.w"][1] == width
+        total = sum(math.prod(s) for s in shapes.values())
+        assert f"parameters: {total}" in lines
 
     def test_shape_collapse_names_layer(self, capsys):
         """Extents too small for the full network fail naming the layer."""

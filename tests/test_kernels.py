@@ -717,3 +717,10 @@ class TestOpCount:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValidationError):
             op_count(ConvSpec(1, 1, (3, 3, 3)), (8, 8, 8), mode="exact")
+
+    def test_counts_beyond_int64_are_exact(self):
+        """Counts past 2**63 are exact integers, not wrapped to 64 bits."""
+        n = 3_000_000
+        oc = op_count(ConvSpec(64, 64, 3, 1, 1), (n,) * 3, "standard")
+        assert oc.multiplications == n ** 3 * 27 * 64 * 64
+        assert oc.additions == 64 * (n ** 3 * (64 * 27 - 1) + n ** 3)

@@ -13,6 +13,8 @@ from voxcnn.kernels import softmax_xent
 from voxcnn.models import build_model, count_parameters, forward
 from voxcnn.presets import arch_preset
 from voxcnn.training import (
+    LR_FACTOR,
+    LR_PERIOD_EPOCHS,
     AdamState,
     ArrayDataset,
     SplitPlan,
@@ -49,12 +51,13 @@ def quick_config(**overrides):
 
 class TestTrainConfig:
     def test_default_recipe_values(self):
-        """The defaults encode the full training recipe."""
+        """The defaults and the decay constants encode the full training
+        recipe."""
         c = TrainConfig()
         assert c.epochs == 1024
         assert c.lr0 == 1e-5
-        assert c.lr_factor == 0.75
-        assert c.lr_period_epochs == 256
+        assert LR_FACTOR == 0.75
+        assert LR_PERIOD_EPOCHS == 256
         assert c.batch_size == 32
         assert c.l2_lambda == 0.1
         assert c.dropout_rate == 0.5
@@ -74,6 +77,16 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match="momentum"):
             TrainConfig.from_text("momentum = 0.9\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr_factor", "0.75"), ("lr_period_epochs", "256"),
+        ("adam_beta1", "0.9"), ("adam_beta2", "0.999"), ("adam_eps", "1e-8"),
+    ])
+    def test_from_text_rejects_recipe_constant(self, key, value):
+        """The decay and adam settings are constants of the recipe, not
+        config keys: naming one, even at its fixed value, is refused."""
+        with pytest.raises(ValidationError, match=f"unknown key {key!r}"):
+            TrainConfig.from_text(f"{key} = {value}\n")
+
     def test_from_text_rejects_bad_value(self):
         with pytest.raises(ValidationError, match="epochs"):
             TrainConfig.from_text("epochs = twelve\n")
@@ -89,7 +102,7 @@ class TestTrainConfig:
             with pytest.raises(ValidationError):
                 TrainConfig(**kwargs)
 
-    @pytest.mark.parametrize("key", ["lr0", "adam_eps", "l2_lambda"])
+    @pytest.mark.parametrize("key", ["lr0", "dropout_rate", "l2_lambda"])
     def test_nonfinite_float_rejected(self, key):
         """NaN and inf are refused, also where a range check alone would
         let NaN through (`lr0 <= 0` is false for NaN)."""

@@ -269,30 +269,27 @@ class TestManifest:
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "m.vman"
         path.write_text("a.vvol,AD,s0,,\n")
-        with pytest.raises(ValidationError, match="VMAN1"):
+        with pytest.raises(ValidationError,
+                           match="missing #VMAN2 header line$"):
             load_manifest(path)
 
-    def test_vman1_fold_cells_are_not_read(self, tmp_path):
-        """A #VMAN1 manifest's fifth cell (a fold) is ignored whatever it
-        holds: its records equal those of the same rows under #VMAN2."""
+    def test_vman1_manifest_refused(self, tmp_path):
+        """A #VMAN1 manifest, whose rows carried a fifth cell (a fold), is
+        refused for its header line, whatever its rows hold."""
         self._write_volumes(tmp_path, n=2)
-        rows = ["s0.vvol,AD,s0,test", "s1.vvol,MCI,s1,train"]
-        (tmp_path / "old.vman").write_text(
-            "#VMAN1 {}\n" + "".join(f"{r},{fold}\n"
-                                    for r, fold in zip(rows, ("3", "x"))))
-        (tmp_path / "new.vman").write_text(
-            "#VMAN2 {}\n" + "".join(f"{r}\n" for r in rows))
-        old = load_manifest(tmp_path / "old.vman")
-        assert old.records == load_manifest(tmp_path / "new.vman").records
-        assert [r.split for r in old.records] == ["test", "train"]
+        path = tmp_path / "old.vman"
+        path.write_text("#VMAN1 {}\ns0.vvol,AD,s0,test,3\n"
+                        "s1.vvol,MCI,s1,train,x\n")
+        with pytest.raises(ValidationError,
+                           match="missing #VMAN2 header line$"):
+            load_manifest(path)
 
-    @pytest.mark.parametrize("tag, row", [
-        ("#VMAN1", "s0.vvol,AD,s0,test"), ("#VMAN2", "s0.vvol,AD,s0,test,3")])
-    def test_row_width_follows_header_tag(self, tmp_path, tag, row):
+    @pytest.mark.parametrize("row", ["s0.vvol,AD,s0", "s0.vvol,AD,s0,test,3"])
+    def test_row_needs_four_fields(self, tmp_path, row):
         self._write_volumes(tmp_path, n=1)
         path = tmp_path / "m.vman"
-        path.write_text(f"{tag} {{}}\n{row}\n")
-        with pytest.raises(ValidationError, match="fields"):
+        path.write_text(f"#VMAN2 {{}}\n{row}\n")
+        with pytest.raises(ValidationError, match="rows need 4 fields"):
             load_manifest(path)
 
 
