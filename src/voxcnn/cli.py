@@ -337,16 +337,20 @@ def cmd_saliency(args) -> int:
     _check_model(dataset, model.config, args.model)
     ids = _select_ids(dataset, args.split, args.seed)
     mask = load_mask(args.mask) if args.mask else None
+    # every map and score is made before --out is created, so a class
+    # without samples or a mask of the wrong shape leaves no output
+    vols = [class_mean_saliency(model, dataset, c, ids=ids)
+            for c in class_ids]
+    scores = [None if mask is None else region_enrichment(vol, mask)
+              for vol in vols]
     os.makedirs(args.out, exist_ok=True)
-    for cname, c in zip(class_names, class_ids):
-        vol = class_mean_saliency(model, dataset, c, ids=ids)
+    for cname, vol, score in zip(class_names, vols, scores):
         data = np.stack([vol.data] * 3).astype(np.float32)
         rec = VolumeRecord(id=f"saliency_{cname}", data=data, label=cname)
         path = os.path.join(args.out, f"saliency_{cname}.vvol")
         save_volume(rec, path)
         print(f"saliency {cname}: {path}")
-        if mask is not None:
-            score = region_enrichment(vol, mask)
+        if score is not None:
             print(f"enrichment {cname}: {score:.4f}")
     return 0
 

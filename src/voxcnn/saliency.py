@@ -56,19 +56,19 @@ def class_mean_saliency(model: Model, dataset, class_id: int,
     the class name (metrics.CLASSES) of a sample's label, so only the
     chosen volumes are loaded; an unlabeled sample in the pool is refused.
     """
+    if not 0 <= class_id < len(CLASSES):
+        raise ValidationError(f"class id {class_id} names no class")
     pool = dataset.ids if ids is None else tuple(ids)
-    name = CLASSES[class_id] if 0 <= class_id < len(CLASSES) else None
+    name = CLASSES[class_id]
     chosen = [sid for sid in pool if dataset.label_of(sid) == name]
+    if not chosen:
+        raise ValidationError(f"no samples labeled {name}")
     acc = None
-    count = 0
     for sid in chosen:
         x, _ = dataset.example(sid)
-        m = saliency_map(model, x, class_id)
-        acc = m.data.copy() if acc is None else acc + m.data
-        count += 1
-    if count == 0:
-        raise ValidationError(f"no samples labeled class {class_id}")
-    mean = acc / count
+        m = saliency_map(model, x, class_id).data
+        acc = m if acc is None else acc + m
+    mean = acc / len(chosen)
     peak = float(mean.max())
     if peak > 0:
         mean = mean / peak

@@ -27,6 +27,17 @@ A manifest is a text file whose first line is "#VMAN2 <json metadata>"
 followed by one CSV record per volume: path,label,subject,split (path
 relative to the manifest's directory; label and split may be empty).
 
+VolumeDataset holds each volume encoded, never decoded: from_manifest reads
+and fully checks each file once, then keeps a read-only map of it and no
+open descriptor, and `record`/`example` decode and re-check the mapped bytes
+on every call.  Resident memory so follows the volumes in use, not the
+dataset's size (1,500 full-size volumes of 3x157x189x156 float32 are 83 GB).
+A mapped file stays readable after it is unlinked and keeps its contents
+when replaced by rename, as every writer here replaces files.  Bytes
+written into it in place are read, and refused unless they are a whole valid
+volume with the same id, label and extents; truncating it in place makes
+reading the lost pages a SIGBUS, as with any mapped file.
+
 The phantom generator stands in for preprocessed MRI: an ellipsoidal head
 with a CSF rim, GM shell and WM core, plus two class-dependent features --
 an off-center GM blob whose radius and GM density grow from AD to MCI to CN,
@@ -43,15 +54,19 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import math
+import mmap
 import numbers
 import os
 import struct
 import threading
+import weakref
 import zlib
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,6 +325,41 @@ def load_volume(path) -> VolumeRecord:
         return read_volume(f.read())
 
 
+try:
+    _libc = ctypes.CDLL(None, use_errno=True)
+    _libc.mmap.restype = ctypes.c_void_p
+    _libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
+                           ctypes.c_int, ctypes.c_int, ctypes.c_long)
+    _libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+    _libc.munmap.restype = ctypes.c_int
+except (OSError, TypeError, AttributeError):  # no C library mmap
+    _libc = None
+
+
+def _map_file(f):
+    """A read-only shared map of open file `f`, unmapped when the last
+    reference to it goes.
+
+    mmap.mmap keeps a duplicate of the descriptor for as long as the map
+    lives (before Python 3.13), one descriptor per volume, and 1,500
+    volumes would pass the common limit of 1,024 open files.  libc's mmap
+    keeps none; mmap.mmap serves only where there is no libc mmap.
+    """
+    if _libc is None:
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    size = os.fstat(f.fileno()).st_size
+    addr = _libc.mmap(None, size, mmap.PROT_READ, mmap.MAP_SHARED,
+                      f.fileno(), 0)
+    if addr in (None, ctypes.c_void_p(-1).value):
+        err = ctypes.get_errno()
+        raise OSError(err, f"mmap failed: {os.strerror(err)}", f.name)
+    view = (ctypes.c_ubyte * size).from_address(addr)
+    # at exit the process unmaps it; unmapping earlier could pull the
+    # pages from under a thread still reading them
+    weakref.finalize(view, _libc.munmap, addr, size).atexit = False
+    return view
+
+
 def load_mask(path) -> np.ndarray:
     """Binary (D, H, W) mask from a mask volume (channel 0 thresholded)."""
     return load_volume(path).data[0] > 0.5
@@ -397,72 +447,99 @@ def load_manifest(path) -> Manifest:
 # ---------------------------------------------------------------------------
 
 
-class VolumeDataset:
-    """All manifest volumes loaded into memory, keyed by subject id; all
-    share one extent."""
+class _Held(NamedTuple):
+    """One dataset sample: its encoded volume and what loading read of it."""
 
-    def __init__(self, records: dict, splits: dict):
-        self._records = records
+    data: object  # write_volume bytes, or a read-only map of a volume file
+    label: str | None
+    extents: tuple
+
+
+class VolumeDataset:
+    """Volumes keyed by subject id, all of one extent, each held encoded.
+
+    A volume is decoded and fully checked (CRC-32, header, values) on
+    every `record` or `example` call, and refused if its id, label or
+    extents differ from those read when the dataset was built; `ids`,
+    `label_of`, `extents` and `split_ids` decode nothing.  So the process
+    holds no decoded volume between calls.
+    """
+
+    def __init__(self, volumes: dict, splits: dict):
+        """`volumes` maps each sample id to its encoded volume (write_volume
+        bytes or any buffer holding them), `splits` to its split tag or
+        None.  Each volume is read and checked once here."""
+        self._held = {}
         self._splits = splits
+        for sid, data in volumes.items():
+            self._hold(sid, data, read_volume(data), f"volume {sid!r}")
+
+    def _hold(self, sid, data, vol: VolumeRecord, what: str) -> None:
+        """Keep `data`, whose decoded volume is `vol`, as sample `sid`."""
+        if vol.id != sid:
+            raise ValidationError(
+                f"{what} carries id {vol.id!r}, listed as {sid!r}")
+        if self._held and vol.extents != self.extents:
+            raise ValidationError(
+                f"{what} extents {vol.extents} differ from {self.extents}")
+        self._held[sid] = _Held(data, vol.label, vol.extents)
 
     @classmethod
     def from_manifest(cls, path) -> "VolumeDataset":
+        """The manifest's volumes: each file is opened once, read and fully
+        checked, then held as a read-only map of that file, with no
+        descriptor left open (see the module docstring)."""
         manifest = load_manifest(path)
-        records: dict = {}
-        splits: dict = {}
-        extents = None
+        dataset = cls({}, {r.subject: r.split for r in manifest.records})
         for mrec in manifest.records:
-            vol = load_volume(manifest.resolve(mrec))
-            extents = extents or vol.extents
-            if vol.extents != extents:
-                raise ValidationError(
-                    f"volume {mrec.path!r} extents {vol.extents} differ "
-                    f"from {extents}")
-            if vol.id != mrec.subject:
-                raise ValidationError(
-                    f"volume {mrec.path!r} carries id {vol.id!r}, manifest "
-                    f"says {mrec.subject!r}"
-                )
+            with open(manifest.resolve(mrec), "rb") as f:
+                vol = read_volume(f.read())
+                dataset._hold(mrec.subject, _map_file(f), vol,
+                              f"volume {mrec.path!r}")
             if mrec.label is not None and vol.label is not None \
                     and mrec.label != vol.label:
                 raise ValidationError(
-                    f"volume {mrec.path!r}: label disagrees with manifest"
-                )
-            records[mrec.subject] = vol
-            splits[mrec.subject] = mrec.split
-        return cls(records=records, splits=splits)
+                    f"volume {mrec.path!r}: label disagrees with manifest")
+        return dataset
 
     @property
     def ids(self) -> tuple:
-        return tuple(self._records)
+        return tuple(self._held)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._held)
 
     @property
     def extents(self) -> tuple:
-        if not self._records:
+        if not self._held:
             raise ValidationError("dataset holds no volumes")
-        first = next(iter(self._records.values()))
-        return first.extents
+        return next(iter(self._held.values())).extents
 
-    def record(self, sample_id) -> VolumeRecord:
+    def _entry(self, sample_id) -> _Held:
         try:
-            return self._records[sample_id]
+            return self._held[sample_id]
         except KeyError:
             raise ValidationError(f"unknown sample id {sample_id!r}") from None
 
+    def record(self, sample_id) -> VolumeRecord:
+        """The sample's volume, decoded and checked from its bytes."""
+        held = self._entry(sample_id)
+        vol = read_volume(held.data)
+        if (vol.id, vol.label, vol.extents) != (sample_id, held.label,
+                                                 held.extents):
+            raise ValidationError(
+                f"sample {sample_id!r}: its volume bytes changed since loading")
+        return vol
+
     def label_of(self, sample_id) -> str:
-        label = self.record(sample_id).label
+        label = self._entry(sample_id).label
         if label is None:
             raise ValidationError(f"sample {sample_id!r} is unlabeled")
         return label
 
     def example(self, sample_id):
-        rec = self.record(sample_id)
-        if rec.label is None:
-            raise ValidationError(f"sample {sample_id!r} is unlabeled")
-        return stack_input(rec), CLASSES.index(rec.label)
+        label = self.label_of(sample_id)
+        return stack_input(self.record(sample_id)), CLASSES.index(label)
 
     def split_ids(self, split: str) -> tuple:
         """Ids tagged with `split`; "heldout" = val + test."""

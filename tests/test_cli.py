@@ -812,6 +812,29 @@ class TestSaliency:
         assert "repeats a class" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("classes", ["AD,MCI", "MCI,AD"])
+    def test_class_without_samples_leaves_no_output(
+            self, classes, dataset_dir, model_trio, tmp_path, capsys):
+        """A requested class with no sample in the split fails the command
+        naming the class, before --out is created or any map written,
+        whether it comes first or after a class that has samples."""
+        def ad_only_heldout(rows):
+            tagged = []
+            for row in rows:
+                path, label, subject, split = row.split(",")
+                split = "val" if subject == "AD0000" else (
+                    "train" if split in ("val", "test") else split)
+                tagged.append(",".join((path, label, subject, split)))
+            return tagged
+
+        manifest = edited_manifest(dataset_dir, tmp_path, ad_only_heldout)
+        out = tmp_path / "sal"
+        assert main(["saliency", "--manifest", manifest, "--model",
+                     model_trio[0], "--classes", classes, "--split",
+                     "heldout", "--out", str(out)]) == 3
+        assert "no samples labeled MCI" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_class_count_mismatch(self, manifest_path, class_mismatch,
                                   no_forward, tmp_path, capsys):
         """A 4-class model is refused before any saliency map is made."""

@@ -16,7 +16,7 @@ from voxcnn.saliency import (
     saliency_map,
 )
 from voxcnn.training import ArrayDataset
-from voxcnn.volumes import VolumeDataset, VolumeRecord
+from voxcnn.volumes import VolumeDataset, VolumeRecord, write_volume
 
 
 def micro(seed=0):
@@ -193,12 +193,13 @@ class TestClassMeanSaliency:
                         atol=1e-15)
 
     def _volumes(self, labels):
-        """A VolumeDataset of 9x9x9 volumes, one per label (None: unlabeled)."""
+        """A VolumeDataset of encoded 9x9x9 volumes, one per label (None:
+        unlabeled)."""
         rng = np.random.default_rng(3)
-        records = {f"v{i}": VolumeRecord(id=f"v{i}", data=rng.random((3, 9, 9, 9)),
-                                         label=label)
+        volumes = {f"v{i}": write_volume(VolumeRecord(
+            id=f"v{i}", data=rng.random((3, 9, 9, 9)), label=label))
                    for i, label in enumerate(labels)}
-        return VolumeDataset(records, dict.fromkeys(records))
+        return VolumeDataset(volumes, dict.fromkeys(volumes))
 
     def test_loads_only_the_class_volumes(self, monkeypatch):
         """Samples are chosen by label first; only the chosen volumes are
@@ -224,8 +225,10 @@ class TestClassMeanSaliency:
     def test_absent_class_rejected(self):
         model = micro()
         ds = self._dataset(n=2)
-        with pytest.raises(ValidationError, match="class 2"):
+        with pytest.raises(ValidationError, match="no samples labeled CN$"):
             class_mean_saliency(model, ds, 2)
+        with pytest.raises(ValidationError, match="class id 3 names no class"):
+            class_mean_saliency(model, ds, 3)
 
 
 class TestRegionEnrichment:

@@ -2,10 +2,13 @@
 
 import dataclasses
 import os
+import shutil
 import struct
+import subprocess
 import sys
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +41,8 @@ from voxcnn.volumes import (
     write_manifest,
     write_volume,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tiny_record(seed=0, label="AD", vol_id="t1", extents=(2, 2, 2)):
@@ -474,6 +479,139 @@ class TestGeneratePhantoms:
         text = "".join(f"{k} = {v!r}\n"
                        for k, v in manifest.metadata["params"].items())
         assert PhantomParams.from_text(text) == params
+
+
+class TestVolumeDataset:
+    """A dataset holds each volume encoded and decodes it on every access."""
+
+    def _bytes_dataset(self, n=3):
+        """(dataset, records, the encoded volumes it holds)."""
+        recs = [tiny_record(seed=i, vol_id=f"s{i}", label=CLASSES[i % 3],
+                            extents=(2, 3, 4)) for i in range(n)]
+        encoded = {r.id: bytearray(write_volume(r)) for r in recs}
+        ds = VolumeDataset(encoded, {r.id: "train" for r in recs})
+        return ds, recs, encoded
+
+    def _phantom_manifest(self, tmp_path):
+        """Six phantom volumes under tmp_path/d; the manifest's path."""
+        params = PhantomParams(extents=(20, 22, 20), samples_per_class=2,
+                               region_radii=(1.6, 2.2, 2.8), jitter=0.8,
+                               seed=5)
+        generate_phantoms(params, tmp_path / "d")
+        return tmp_path / "d" / "manifest.vman"
+
+    def _phantom_dataset(self, tmp_path):
+        return VolumeDataset.from_manifest(self._phantom_manifest(tmp_path))
+
+    def test_bytes_constructor_decodes_each_access(self):
+        ds, recs, _ = self._bytes_dataset()
+        assert ds.ids == ("s0", "s1", "s2")
+        assert ds.extents == (2, 3, 4)
+        for r in recs:
+            x, y = ds.example(r.id)
+            assert np.array_equal(x, stack_input(r))
+            assert y == CLASSES.index(r.label)
+            assert ds.record(r.id).data.tobytes() == r.data.tobytes()
+
+    def test_bytes_constructor_checks_id_and_extents(self):
+        rec = tiny_record(vol_id="a")
+        with pytest.raises(ValidationError, match="carries id 'a'"):
+            VolumeDataset({"b": write_volume(rec)}, {"b": None})
+        odd = tiny_record(vol_id="b", extents=(3, 3, 3))
+        with pytest.raises(ValidationError, match="extents"):
+            VolumeDataset({"a": write_volume(rec), "b": write_volume(odd)},
+                          {"a": None, "b": None})
+
+    def test_metadata_decodes_nothing(self, monkeypatch):
+        """ids, labels, extents and split tags come from loading time."""
+        ds, recs, _ = self._bytes_dataset()
+
+        def refuse(data):
+            raise AssertionError("a volume was decoded")
+
+        monkeypatch.setattr(voxcnn.volumes, "read_volume", refuse)
+        assert ds.ids == tuple(r.id for r in recs)
+        assert ds.extents == (2, 3, 4)
+        assert [ds.label_of(r.id) for r in recs] == [r.label for r in recs]
+        assert ds.split_ids("train") == ds.ids
+
+    def test_changed_bytes_refused(self):
+        """A flipped payload byte fails the checksum; a valid volume with
+        another label in the same bytes is refused as well."""
+        ds, recs, encoded = self._bytes_dataset()
+        encoded["s0"][-10] ^= 0xFF
+        with pytest.raises(ValidationError, match="checksum"):
+            ds.example("s0")
+        encoded["s1"][:] = write_volume(
+            VolumeRecord(id="s1", data=recs[1].data, label="CN"))
+        with pytest.raises(ValidationError, match="changed since loading"):
+            ds.example("s1")
+
+    def test_examples_survive_deleted_files(self, tmp_path):
+        ds = self._phantom_dataset(tmp_path)
+        before = {i: ds.example(i)[0] for i in ds.ids}
+        shutil.rmtree(tmp_path / "d")
+        for i in ds.ids:
+            assert np.array_equal(ds.example(i)[0], before[i])
+
+    def test_file_replaced_by_rename_keeps_old_contents(self, tmp_path):
+        ds = self._phantom_dataset(tmp_path)
+        before = ds.example("AD0000")[0]
+        path = tmp_path / "d" / "volumes" / "AD0000.vvol"
+        rec = load_volume(path)
+        save_volume(VolumeRecord(id=rec.id, data=rec.data * 0.5,
+                                 label=rec.label), path)
+        assert np.array_equal(ds.example("AD0000")[0], before)
+
+    def test_payload_overwritten_in_place_refused(self, tmp_path):
+        """Bytes written into a mapped file after loading make `example`
+        raise, never return other data."""
+        ds = self._phantom_dataset(tmp_path)
+        path = tmp_path / "d" / "volumes" / "CN0001.vvol"
+        with open(path, "r+b") as f:
+            f.seek(-1000, os.SEEK_END)
+            flipped = bytes(b ^ 0xFF for b in f.read(8))
+            f.seek(-1000, os.SEEK_END)
+            f.write(flipped)
+        with pytest.raises(ValidationError, match="checksum"):
+            ds.example("CN0001")
+        ds.example("CN0000")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_from_manifest_leaves_no_descriptor_open(self, tmp_path):
+        manifest = self._phantom_manifest(tmp_path)
+        before = len(os.listdir("/proc/self/fd"))
+        ds = VolumeDataset.from_manifest(manifest)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert len(ds) == 6
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_loading_holds_no_decoded_volume(self, tmp_path):
+        """In a fresh process, loading 90 toy volumes (42 MiB decoded)
+        raises resident memory by under 5 MiB."""
+        generate_phantoms(PhantomParams(samples_per_class=30, seed=1),
+                          tmp_path / "d")
+        code = (
+            "import os, sys\n"
+            "from voxcnn.volumes import VolumeDataset\n"
+            "def rss():\n"
+            "    with open('/proc/self/statm') as f:\n"
+            "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "before = rss()\n"
+            "ds = VolumeDataset.from_manifest(sys.argv[1])\n"
+            "print(len(ds), rss() - before)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "d" / "manifest.vman")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        count, grown = (int(v) for v in done.stdout.split())
+        assert count == 90
+        assert grown < 5 * 2**20
 
 
 # (build a config, the field it gets wrong): each value is truncated,
