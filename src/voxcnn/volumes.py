@@ -29,9 +29,10 @@ relative to the manifest's directory; label and split may be empty).
 
 VolumeDataset holds each volume encoded, never decoded: from_manifest reads
 and fully checks each file once, then keeps a read-only map of it and no
-open descriptor, and `record`/`example` decode and re-check the mapped bytes
-on every call.  Resident memory so follows the volumes in use, not the
-dataset's size (1,500 full-size volumes of 3x157x189x156 float32 are 83 GB).
+open descriptor.  `record`/`example` copy the mapped bytes once, drop the
+map's resident pages and decode and re-check the copy, on every call.
+Resident memory so follows the volume being read, not the dataset's size
+(1,500 full-size volumes of 3x157x189x156 float32 are 83 GB).
 A mapped file stays readable after it is unlinked and keeps its contents
 when replaced by rename, as every writer here replaces files.  Bytes
 written into it in place are read, and refused unless they are a whole valid
@@ -303,6 +304,8 @@ def write_volume(record: VolumeRecord) -> bytes:
 
 
 def read_volume(data: bytes) -> VolumeRecord:
+    """The volume encoded in `data`.  A record read from a `bytes` object
+    shares its payload, read-only; from any other buffer it gets a copy."""
     r = Reader(data, "volume")
     r.open(VOLUME_MAGIC, VOLUME_FORMAT_VERSION)
     d, h, w, channels = r.unpack("<IIII")
@@ -312,8 +315,10 @@ def read_volume(data: bytes) -> VolumeRecord:
     label = r.text("<H") or None
     payload = np.frombuffer(r.take(12 * d * h * w), dtype="<f4")
     r.done()
+    if not isinstance(data, bytes):
+        payload = payload.copy()
     return VolumeRecord(id=vol_id, label=label,
-                        data=payload.reshape(3, d, h, w).copy())
+                        data=payload.reshape(3, d, h, w))
 
 
 def save_volume(record: VolumeRecord, path) -> None:
@@ -332,6 +337,8 @@ try:
                            ctypes.c_int, ctypes.c_int, ctypes.c_long)
     _libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
     _libc.munmap.restype = ctypes.c_int
+    _libc.madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    _libc.madvise.restype = ctypes.c_int
 except (OSError, TypeError, AttributeError):  # no C library mmap
     _libc = None
 
@@ -344,6 +351,12 @@ def _map_file(f):
     lives (before Python 3.13), one descriptor per volume, and 1,500
     volumes would pass the common limit of 1,024 open files.  libc's mmap
     keeps none; mmap.mmap serves only where there is no libc mmap.
+
+    Pages read through a map count as resident until `_drop_pages` drops
+    them.  Unlike munmap, that is safe while another thread reads the same
+    range (as `crossval --workers` threads do): the pages stay in the page
+    cache and the map keeps the file, unlinked or not, so the next read
+    faults the same bytes back in.
     """
     if _libc is None:
         return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
@@ -358,6 +371,18 @@ def _map_file(f):
     # pages from under a thread still reading them
     weakref.finalize(view, _libc.munmap, addr, size).atexit = False
     return view
+
+
+def _drop_pages(view) -> None:
+    """Take the pages of `view`, a `_map_file` map, out of resident memory
+    (MADV_DONTNEED); where the platform has no madvise, do nothing."""
+    dontneed = getattr(mmap, "MADV_DONTNEED", None)
+    if dontneed is None:
+        return
+    if isinstance(view, mmap.mmap):
+        view.madvise(dontneed)
+    else:  # unchecked: a failure only leaves the pages resident
+        _libc.madvise(ctypes.addressof(view), ctypes.sizeof(view), dontneed)
 
 
 def load_mask(path) -> np.ndarray:
@@ -450,9 +475,10 @@ def load_manifest(path) -> Manifest:
 class _Held(NamedTuple):
     """One dataset sample: its encoded volume and what loading read of it."""
 
-    data: object  # write_volume bytes, or a read-only map of a volume file
+    data: object  # write_volume bytes, any buffer holding them, or a map
     label: str | None
     extents: tuple
+    mapped: bool  # data is a `_map_file` map
 
 
 class VolumeDataset:
@@ -462,7 +488,7 @@ class VolumeDataset:
     every `record` or `example` call, and refused if its id, label or
     extents differ from those read when the dataset was built; `ids`,
     `label_of`, `extents` and `split_ids` decode nothing.  So the process
-    holds no decoded volume between calls.
+    holds no decoded volume between calls, and no page of a mapped one.
     """
 
     def __init__(self, volumes: dict, splits: dict):
@@ -474,7 +500,8 @@ class VolumeDataset:
         for sid, data in volumes.items():
             self._hold(sid, data, read_volume(data), f"volume {sid!r}")
 
-    def _hold(self, sid, data, vol: VolumeRecord, what: str) -> None:
+    def _hold(self, sid, data, vol: VolumeRecord, what: str,
+              mapped=False) -> None:
         """Keep `data`, whose decoded volume is `vol`, as sample `sid`."""
         if vol.id != sid:
             raise ValidationError(
@@ -482,7 +509,7 @@ class VolumeDataset:
         if self._held and vol.extents != self.extents:
             raise ValidationError(
                 f"{what} extents {vol.extents} differ from {self.extents}")
-        self._held[sid] = _Held(data, vol.label, vol.extents)
+        self._held[sid] = _Held(data, vol.label, vol.extents, mapped)
 
     @classmethod
     def from_manifest(cls, path) -> "VolumeDataset":
@@ -495,7 +522,7 @@ class VolumeDataset:
             with open(manifest.resolve(mrec), "rb") as f:
                 vol = read_volume(f.read())
                 dataset._hold(mrec.subject, _map_file(f), vol,
-                              f"volume {mrec.path!r}")
+                              f"volume {mrec.path!r}", mapped=True)
             if mrec.label is not None and vol.label is not None \
                     and mrec.label != vol.label:
                 raise ValidationError(
@@ -524,7 +551,14 @@ class VolumeDataset:
     def record(self, sample_id) -> VolumeRecord:
         """The sample's volume, decoded and checked from its bytes."""
         held = self._entry(sample_id)
-        vol = read_volume(held.data)
+        data = held.data
+        if not isinstance(data, bytes):
+            # read a buffer that may be written to once, so the checksum
+            # covers exactly the values decoded
+            data = bytes(data)
+            if held.mapped:
+                _drop_pages(held.data)
+        vol = read_volume(data)
         if (vol.id, vol.label, vol.extents) != (sample_id, held.label,
                                                  held.extents):
             raise ValidationError(

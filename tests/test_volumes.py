@@ -1,13 +1,17 @@
 """Tests for the volume file format, manifests, and the phantom generator."""
 
 import dataclasses
+import mmap
 import os
 import shutil
 import struct
 import subprocess
 import sys
 import threading
+import time
+import types
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -586,31 +590,142 @@ class TestVolumeDataset:
         assert len(os.listdir("/proc/self/fd")) == before
         assert len(ds) == 6
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
-                        reason="needs /proc/self/statm")
-    def test_loading_holds_no_decoded_volume(self, tmp_path):
-        """In a fresh process, loading 90 toy volumes (42 MiB decoded)
-        raises resident memory by under 5 MiB."""
+    def test_record_reads_a_changing_buffer_once(self):
+        """While another thread rewrites a held buffer between two valid
+        encodings of one sample, `record` returns one of the two volumes
+        bit for bit or raises, never a mix of them."""
+        a, b = (tiny_record(seed=s, vol_id="s0", extents=(16, 20, 16))
+                for s in (0, 1))
+        encodings = (write_volume(a), write_volume(b))
+        held = bytearray(encodings[0])
+        ds = VolumeDataset({"s0": held}, {"s0": None})
+        stop = threading.Event()
+
+        def rewrite():
+            k = 0
+            while not stop.is_set():
+                k ^= 1
+                held[:] = encodings[k]
+                time.sleep(0)  # let the reader run between rewrites
+
+        writer = threading.Thread(target=rewrite)
+        writer.start()
+        seen = []
+        try:
+            for _ in range(2000):
+                try:
+                    seen.append(ds.record("s0").data.tobytes())
+                except ValidationError:
+                    pass
+        finally:
+            stop.set()
+            writer.join()
+        assert set(seen) <= {a.data.tobytes(), b.data.tobytes()}
+
+    def test_bytes_written_after_the_check_are_not_decoded(self, monkeypatch):
+        """A payload byte flipped in the held buffer just after its checksum
+        was computed (the low byte of a float, so the value stays in range)
+        does not reach the decoded volume."""
+        ds, recs, encoded = self._bytes_dataset()
+
+        def check_then_flip(data):
+            crc = zlib.crc32(data)
+            encoded["s0"][-12] ^= 0xFF
+            return crc
+
+        monkeypatch.setattr(voxcnn.volumes, "zlib",
+                            types.SimpleNamespace(crc32=check_then_flip))
+        assert ds.record("s0").data.tobytes() == recs[0].data.tobytes()
+
+    def _decoded_from_bytes(self, manifest):
+        """The manifest's examples, decoded through the bytes constructor."""
+        m = load_manifest(manifest)
+        ds = VolumeDataset({r.subject: Path(m.resolve(r)).read_bytes()
+                            for r in m.records},
+                           {r.subject: r.split for r in m.records})
+        return {i: ds.example(i) for i in ds.ids}
+
+    @staticmethod
+    def _read_all(ds, expected, passes):
+        for _ in range(passes):
+            for i in ds.ids:
+                x, y = ds.example(i)
+                assert np.array_equal(x, expected[i][0])
+                assert y == expected[i][1]
+
+    def test_threads_read_the_same_maps(self, tmp_path):
+        """Two threads reading the same samples, each read dropping the
+        map's pages, get exactly the bytes constructor's values."""
+        manifest = self._phantom_manifest(tmp_path)
+        ds = VolumeDataset.from_manifest(manifest)
+        expected = self._decoded_from_bytes(manifest)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for done in [pool.submit(self._read_all, ds, expected, 8)
+                         for _ in range(2)]:
+                done.result()
+
+    def test_mmap_fallback_reads_the_same_values(self, tmp_path, monkeypatch):
+        """Without libc's mmap the dataset holds mmap.mmap maps, and they
+        decode to the same values, again after their pages are dropped."""
+        manifest = self._phantom_manifest(tmp_path)
+        monkeypatch.setattr(voxcnn.volumes, "_libc", None)
+        ds = VolumeDataset.from_manifest(manifest)
+        assert all(isinstance(ds._held[i].data, mmap.mmap) for i in ds.ids)
+        self._read_all(ds, self._decoded_from_bytes(manifest), 2)
+
+    def _resident_growth(self, tmp_path, code, setup=""):
+        """Bytes of resident memory gained when a fresh process runs
+        `setup`, loads 90 toy volumes (42 MiB decoded, 44 MB of files) into
+        `ds` and then runs `code`."""
         generate_phantoms(PhantomParams(samples_per_class=30, seed=1),
                           tmp_path / "d")
-        code = (
+        script = (
             "import os, sys\n"
+            "import voxcnn.volumes\n"
             "from voxcnn.volumes import VolumeDataset\n"
             "def rss():\n"
             "    with open('/proc/self/statm') as f:\n"
             "        return int(f.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+            f"{setup}\n"
             "before = rss()\n"
             "ds = VolumeDataset.from_manifest(sys.argv[1])\n"
+            f"{code}\n"
             "print(len(ds), rss() - before)\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), env.get("PYTHONPATH")) if p)
         done = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "d" / "manifest.vman")],
+            [sys.executable, "-c", script,
+             str(tmp_path / "d" / "manifest.vman")],
             env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         count, grown = (int(v) for v in done.stdout.split())
         assert count == 90
+        return grown
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_loading_holds_no_decoded_volume(self, tmp_path):
+        """Loading 90 toy volumes raises resident memory by under 5 MiB."""
+        assert self._resident_growth(tmp_path, "") < 5 * 2**20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    @pytest.mark.parametrize("maps", [
+        "libc",
+        pytest.param("mmap.mmap", marks=pytest.mark.skipif(
+            not hasattr(mmap, "MADV_DONTNEED"), reason="needs madvise")),
+    ])
+    def test_reading_holds_no_map_page(self, tmp_path, maps):
+        """Reading every one of 90 toy volumes twice through its map
+        raises resident memory by under 5 MiB, not by the 44 MB of pages
+        read, with libc's maps and with the mmap.mmap fallback."""
+        grown = self._resident_growth(
+            tmp_path,
+            "for _ in range(2):\n"
+            "    for i in ds.ids:\n"
+            "        ds.example(i)",
+            setup="voxcnn.volumes._libc = None" if maps != "libc" else "")
         assert grown < 5 * 2**20
 
 
