@@ -58,13 +58,21 @@ from .volumes import (
     VolumeDataset,
     VolumeRecord,
     atomic_write_text,
+    config_from_fields,
     generate_phantoms,
     load_mask,
+    parse_json,
     read_text,
     save_volume,
 )
 
 SPLIT_CHOICES = ("train", "val", "test", "heldout", "all")
+
+
+def _read_config(cls, path: str, what: str):
+    """The `cls` config held in JSON file `path`."""
+    return config_from_fields(cls, parse_json(
+        read_text(path), f"{path}: malformed {what} JSON"), what)
 
 
 def _load_arch_config(value: str):
@@ -77,7 +85,7 @@ def _load_train_config(value: str | None, seed: int | None) -> TrainConfig:
     if value is None:
         config = TrainConfig()
     elif os.path.exists(value):
-        config = TrainConfig.from_text(read_text(value))
+        config = _read_config(TrainConfig, value, "training config")
     else:
         config = train_preset(value)
     if seed is not None:
@@ -138,7 +146,7 @@ def _check_model(dataset: VolumeDataset, config, source: str) -> None:
 
 
 def cmd_generate(args) -> int:
-    params = PhantomParams.from_text(read_text(args.params))
+    params = _read_config(PhantomParams, args.params, "phantom params")
     if args.seed is not None:
         params = replace(params, seed=args.seed)
     manifest = generate_phantoms(params, args.out)
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a phantom dataset")
     p.add_argument("--params", required=True,
-                   help="phantom parameter file (key = value lines)")
+                   help="phantom params JSON file")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override the params seed")
     p.set_defaults(func=cmd_generate)
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch-config", required=True,
                    help=f"config JSON path or preset: {', '.join(ARCH_PRESETS)}")
     p.add_argument("--train-config",
-                   help=f"config path or preset: {', '.join(TRAIN_PRESETS)}")
+                   help=f"config JSON path or preset: {', '.join(TRAIN_PRESETS)}")
     p.add_argument("--seed", type=int, help="override the training seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)

@@ -24,9 +24,11 @@ inception module is a composite of four branches of plain child layers named
 part of the training recipe and reaches the dropout layers through the
 forward call.  Every config type-checks its fields when built, from Python
 or JSON alike, through `volumes.check_fields`: a wrongly typed value is a
-ValidationError naming the field, never truncated.  Layers call kernels
-by their module-global name at call time, so a wrapper set on e.g.
-`voxcnn.models.conv3d` sees every call.
+ValidationError naming the field, never truncated.  Its JSON (an
+`--arch-config` file, or inside a model file) is the object of its fields,
+as every config file is (`volumes.config_fields`), plus "architecture" and
+"format_version".  Layers call kernels by their module-global name at call
+time, so a wrapper set on e.g. `voxcnn.models.conv3d` sees every call.
 """
 
 from __future__ import annotations
@@ -61,7 +63,15 @@ from .kernels import (
     softmax_xent,
 )
 from .seeding import derive_seed
-from .volumes import Reader, atomic_write_bytes, check_fields, parse_json, seal
+from .volumes import (
+    Reader,
+    atomic_write_bytes,
+    check_fields,
+    config_fields,
+    config_from_fields,
+    parse_json,
+    seal,
+)
 
 CONFIG_FORMAT_VERSION = 2
 MODEL_MAGIC = b"V0XN"
@@ -491,20 +501,14 @@ class GoogleNetConfig(_ArchConfig):
 ArchConfig = Union[AlexNetConfig, VggConfig, GoogleNetConfig]
 
 
-def _as_lists(v):
-    return [_as_lists(x) for x in v] if isinstance(v, tuple) else v
-
-
 def config_to_dict(cfg: ArchConfig) -> dict:
-    d = {"architecture": cfg.architecture, "format_version": CONFIG_FORMAT_VERSION}
-    for f in fields(cfg):
-        d[f.name] = _as_lists(getattr(cfg, f.name))
-    return d
+    return {"architecture": cfg.architecture,
+            "format_version": CONFIG_FORMAT_VERSION, **config_fields(cfg)}
 
 
 def config_from_dict(d: dict) -> ArchConfig:
     if not isinstance(d, dict):
-        raise ValidationError("architecture config must be a mapping")
+        raise ValidationError("architecture config must be a JSON object")
     arch = d.get("architecture")
     if arch not in _ARCHITECTURES:
         raise ValidationError(f"unknown architecture {arch!r}")
@@ -512,13 +516,10 @@ def config_from_dict(d: dict) -> ArchConfig:
     if version != CONFIG_FORMAT_VERSION:
         raise ValidationError(f"unsupported config format version {version}")
     cls, _ = _ARCHITECTURES[arch]
-    kwargs = {k: v for k, v in d.items()
-              if k not in ("architecture", "format_version")}
-    names = {f.name for f in fields(cls)}
-    for k in kwargs:
-        if k not in names:
-            raise ValidationError(f"unknown config field {k!r} for {arch}")
-    return cls(**kwargs)
+    return config_from_fields(
+        cls, {k: v for k, v in d.items()
+              if k not in ("architecture", "format_version")},
+        "architecture config")
 
 
 def config_to_json(cfg: ArchConfig) -> str:

@@ -4,6 +4,9 @@ The default recipe: adam at an initial learning rate of 1e-5 decayed by
 0.75 every 256 epochs, minibatches of 32, L2 regularization with lambda 0.1
 on weights, dropout 0.5, validation every 128 iterations, 1024 epochs, and
 a 70/15/15 train/validation/test split with 5-fold cross-validation.
+A training config file is the JSON object of TrainConfig's fields, read by
+`volumes.config_from_fields`; the decay and adam settings are constants,
+not fields.
 
 A dataset here is anything with `ids` and `example(sample_id) -> (volume,
 label_index)`; see ArrayDataset and voxcnn.volumes.VolumeDataset.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .kernels import softmax_xent
 from .metrics import CLASSES, classwise_metrics, confusion_matrix
 from .models import Model, build_model, forward, model_backward
 from .seeding import derive_seed
-from .volumes import check_fields, parse_key_values
+from .volumes import check_fields
 
 
 LR_FACTOR = 0.75
@@ -53,15 +56,6 @@ class TrainConfig:
             raise ValidationError("dropout_rate must be in [0, 1)")
         if self.validation_freq_iters < 1:
             raise ValidationError("validation_freq_iters must be positive")
-
-    def to_text(self) -> str:
-        lines = [f"{f.name} = {getattr(self, f.name)!r}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TrainConfig":
-        types = {f.name: type(f.default) for f in fields(cls)}
-        return cls(**parse_key_values(text, types, "training config"))
 
 
 @dataclass(frozen=True)

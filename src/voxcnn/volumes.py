@@ -46,9 +46,10 @@ and a central CSF cavity that shrinks in the same order.  A binary region
 mask around the blob site is emitted per class so saliency localization can
 be scored.
 
-Config text (training config, phantom params) is `key = value` lines read
-by parse_key_values; check_fields type-checks the fields of every config
-dataclass (architecture, training, phantom), however it was built.
+Every config file (architecture, training, phantom params) is one JSON
+object of its dataclass's fields: config_fields writes that object and
+config_from_fields reads it back; check_fields type-checks the fields of
+every config dataclass, however it was built.
 """
 
 from __future__ import annotations
@@ -112,42 +113,40 @@ def read_text(path) -> str:
 
 
 def parse_json(text: str, what: str):
-    """json.loads; malformed text, an int too long to read and nesting too
-    deep to parse raise ValidationError, its message opened by `what`."""
+    """json.loads; malformed text, a repeated object key, an int too long
+    to read and nesting too deep to parse raise ValidationError, its message
+    opened by `what`."""
+    def unique(pairs):
+        keys = [k for k, _ in pairs]
+        if len(set(keys)) != len(keys):
+            dup = next(k for k in keys if keys.count(k) > 1)
+            raise ValueError(f"repeated key {dup!r}")
+        return dict(pairs)
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except (ValueError, RecursionError) as e:
         raise ValidationError(f"{what}: {e}") from e
 
 
-def parse_key_values(text: str, types: dict, what: str) -> dict:
-    """Typed values from `key = value` lines; '#' starts a comment.
+def config_fields(config) -> dict:
+    """{field name: value} of dataclass `config`: the JSON object that
+    config_from_fields reads back (json.dumps writes tuples as arrays)."""
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
-    `types` maps each allowed key to int or float.  Unknown keys, lines
-    without '=', values that do not parse as the key's type (an int key
-    rejects "32.7") and non-finite floats ("nan", "inf") raise
-    ValidationError naming `what` and the line.
-    """
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = (part.strip() for part in line.partition("="))
-        if not eq:
-            raise ValidationError(f"{what} line {lineno}: expected 'key = value'")
-        if key not in types:
-            raise ValidationError(f"{what} line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = types[key](value)
-        except ValueError:
-            raise ValidationError(
-                f"{what} line {lineno}: bad value {value!r} for {key}"
-            ) from None
-        if not math.isfinite(values[key]):
-            raise ValidationError(
-                f"{what} line {lineno}: {key} must be finite, got {value!r}")
-    return values
+
+def config_from_fields(cls, obj, what: str):
+    """Dataclass `cls` built from `obj`, a parsed JSON object holding some
+    of its fields (the rest take their defaults).  Anything but an object,
+    or a key that is not a field, raises ValidationError naming `what`;
+    `cls` checks each value (check_fields)."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    for key in obj:
+        if key not in names:
+            raise ValidationError(f"unknown {what} field {key!r}")
+    return cls(**obj)
 
 
 def check_fields(config, what: str) -> None:
@@ -202,6 +201,14 @@ class VolumeRecord:
     def __post_init__(self):
         if not self.id:
             raise ValidationError("volume id must be non-empty")
+        try:
+            id_size = len(self.id.encode())
+        except UnicodeEncodeError as e:
+            raise ValidationError(f"volume id is not UTF-8: {e}") from None
+        if id_size > 0xFFFF:  # write_volume's u16 length
+            raise ValidationError(
+                f"volume id is {id_size} UTF-8 bytes, more than the 65,535 "
+                "a volume file holds")
         data = np.asarray(self.data, dtype=np.float32)
         if data.ndim != 4 or data.shape[0] != 3 or 0 in data.shape:
             raise ValidationError(
@@ -447,6 +454,10 @@ def load_manifest(path) -> Manifest:
                 f"{path}: {MANIFEST_TAG} manifest rows need 4 fields, got {row!r}"
             )
         vol_path, label, subject, split = (c.strip() for c in row)
+        for name, cell in (("path", vol_path), ("subject", subject)):
+            if not cell:
+                raise ValidationError(
+                    f"{path}: empty {name} cell in manifest row {row!r}")
         if label and label not in CLASSES:
             raise ValidationError(f"{path}: unknown label {label!r}")
         if split not in ("", "train", "val", "test"):
@@ -638,40 +649,6 @@ class PhantomParams:
                 f"(blob radius up to {max_blob:.1f} voxels)"
             )
 
-    _KEYS = ("extent_depth", "extent_height", "extent_width",
-             "samples_per_class",
-             "region_radius_ad", "region_radius_mci", "region_radius_cn",
-             "cavity_scale_ad", "cavity_scale_mci", "cavity_scale_cn",
-             "noise_amplitude", "jitter", "seed")
-
-    def key_values(self) -> dict:
-        """{file key: value} in file order, tuple fields spread over their
-        keys."""
-        return dict(zip(self._KEYS, (
-            *self.extents, self.samples_per_class, *self.region_radii,
-            *self.cavity_scales, self.noise_amplitude, self.jitter,
-            self.seed)))
-
-    def to_text(self) -> str:
-        return "".join(f"{k} = {v!r}\n" for k, v in self.key_values().items())
-
-    # file keys that together give one tuple field, in tuple order
-    _GROUPS = {"extents": _KEYS[0:3], "region_radii": _KEYS[4:7],
-               "cavity_scales": _KEYS[7:10]}
-
-    @classmethod
-    def from_text(cls, text: str) -> "PhantomParams":
-        types = {k: type(v) for k, v in cls().key_values().items()}
-        kwargs = parse_key_values(text, types, "phantom params")
-        for name, keys in cls._GROUPS.items():
-            given = [k for k in keys if k in kwargs]
-            if given and len(given) < len(keys):
-                raise ValidationError(
-                    f"phantom params: {name} needs all of {', '.join(keys)}")
-            if given:
-                kwargs[name] = tuple(kwargs.pop(k) for k in keys)
-        return cls(**kwargs)
-
 
 # GM density inside the blob, per class: atrophy thins the region, so the
 # disease end of the scale is dim and the healthy end bright
@@ -790,7 +767,7 @@ def generate_phantoms(params: PhantomParams, out_dir) -> Manifest:
         "seed": params.seed,
         "samples_per_class": params.samples_per_class,
         "masks": mask_paths,
-        "params": params.key_values(),
+        "params": config_fields(params),
     }
     manifest = Manifest(records=tuple(records), metadata=metadata,
                         base_dir=out_dir)

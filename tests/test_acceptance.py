@@ -6,6 +6,7 @@ verbose pytest run reads as a per-criterion checklist.  The expensive
 phantom-training fixtures in conftest.py are shared by criteria 8, 11 and 12.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -72,6 +73,7 @@ from voxcnn.training import (
 from voxcnn.volumes import (
     PhantomParams,
     VolumeRecord,
+    config_fields,
     load_mask,
     read_volume,
     write_volume,
@@ -442,11 +444,11 @@ def test_criterion_11_saliency_concentrates_in_planted_region(
 def test_criterion_12_training_is_deterministic(tmp_path):
     """Identical seed and spec give bit-identical models; IO is bit-exact."""
     data = tmp_path / "data"
-    params = tmp_path / "phantom.params"
-    params.write_text(PhantomParams(extents=(20, 22, 20), samples_per_class=4,
-                                    region_radii=(1.6, 2.2, 2.8),
-                                    noise_amplitude=0.05, jitter=0.8,
-                                    seed=3).to_text())
+    params = tmp_path / "phantom.json"
+    params.write_text(json.dumps(config_fields(PhantomParams(
+        extents=(20, 22, 20), samples_per_class=4,
+        region_radii=(1.6, 2.2, 2.8), noise_amplitude=0.05, jitter=0.8,
+        seed=3))))
     assert cli_main(["generate", "--params", str(params),
                      "--out", str(data)]) == 0
     arch = tmp_path / "arch.json"
@@ -454,10 +456,10 @@ def test_criterion_12_training_is_deterministic(tmp_path):
         input_shape=(3, 20, 22, 20), conv_widths=(4, 8, 8, 8, 8),
         dense_widths=(16, 16), stem_kernel=3, stem_stride=1, stem_padding=1,
         pool_padding=1)))
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text(TrainConfig(epochs=2, lr0=1e-3, batch_size=4,
-                               l2_lambda=0.0, dropout_rate=0.0,
-                               validation_freq_iters=4, seed=0).to_text())
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(config_fields(TrainConfig(
+        epochs=2, lr0=1e-3, batch_size=4, l2_lambda=0.0, dropout_rate=0.0,
+        validation_freq_iters=4, seed=0))))
     outs = []
     for run in ("one", "two"):
         out = tmp_path / run

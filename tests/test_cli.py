@@ -41,6 +41,7 @@ from voxcnn.training import TrainConfig
 from voxcnn.volumes import (
     PhantomParams,
     VolumeRecord,
+    config_fields,
     load_manifest,
     load_volume,
     save_volume,
@@ -79,10 +80,10 @@ def quick_train_config(**overrides):
     return TrainConfig(**base)
 
 
-def with_value(text, key, value):
-    """`key = value` text with the line for key replaced by the given value."""
-    lines = [l for l in text.splitlines() if not l.startswith(f"{key} =")]
-    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+def config_json(config, **overrides):
+    """The config file of `config`: the JSON object of its fields, with
+    `overrides` set."""
+    return json.dumps(dict(config_fields(config), **overrides))
 
 
 def file_bytes(path):
@@ -118,8 +119,8 @@ def work(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def params_path(work):
-    path = work / "params.txt"
-    path.write_text(tiny_params().to_text())
+    path = work / "params.json"
+    path.write_text(config_json(tiny_params()))
     return str(path)
 
 
@@ -145,8 +146,8 @@ def arch_path(work):
 
 @pytest.fixture(scope="module")
 def train_cfg_path(work):
-    path = work / "train.cfg"
-    path.write_text(quick_train_config().to_text())
+    path = work / "train.json"
+    path.write_text(config_json(quick_train_config()))
     return str(path)
 
 
@@ -200,8 +201,8 @@ def no_forward(monkeypatch):
 class TestGenerate:
     def test_counts_and_manifest(self, tmp_path, capsys):
         """Ten samples per class produce a manifest with thirty records."""
-        params = tmp_path / "p.txt"
-        params.write_text(tiny_params(samples_per_class=10).to_text())
+        params = tmp_path / "p.json"
+        params.write_text(config_json(tiny_params(samples_per_class=10)))
         out = tmp_path / "data"
         assert main(["generate", "--params", str(params),
                      "--out", str(out)]) == 0
@@ -221,6 +222,18 @@ class TestGenerate:
                      "--out", str(again)]) == 0
         assert tree_bytes(str(again)) == tree_bytes(str(dataset_dir))
 
+    def test_manifest_params_regenerate_the_dataset(self, manifest_path,
+                                                    dataset_dir, tmp_path):
+        """A manifest's "params" object is a --params file: generating from
+        it rewrites every file of the dataset byte for byte."""
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(load_manifest(manifest_path)
+                                     .metadata["params"]))
+        again = tmp_path / "again"
+        assert main(["generate", "--params", str(params),
+                     "--out", str(again)]) == 0
+        assert tree_bytes(str(again)) == tree_bytes(str(dataset_dir))
+
     def test_missing_params_flag_is_usage_error(self):
         """Omitting the required --params flag exits with code 2."""
         with pytest.raises(SystemExit) as exc:
@@ -229,22 +242,21 @@ class TestGenerate:
 
     def test_bad_params_file(self, tmp_path, capsys):
         """An unknown key in the parameter file is a validation failure."""
-        params = tmp_path / "p.txt"
-        params.write_text("contrast = 2.0\n")
+        params = tmp_path / "p.json"
+        params.write_text('{"contrast": 2.0}')
         assert main(["generate", "--params", str(params),
                      "--out", str(tmp_path / "d")]) == 3
         assert "contrast" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text,key", [
-        ("extent_depth = 20.5\nextent_height = 22\nextent_width = 20\n",
-         "extent_depth"),
-        ("seed = 1.9\n", "seed"),
-        ("extent_depth = 20\n", "extent_height"),
-    ])
+        ('{"extents": [20.5, 22, 20]}', "extents"),
+        ('{"seed": 1.9}', "seed"),
+        ('{"extents": [20, 22]}', "extents"),
+    ], ids=["non-integral-extent", "non-integral-seed", "two-extents"])
     def test_malformed_params_value(self, tmp_path, capsys, text, key):
-        """A non-integral integer or an incomplete extent group is a
+        """A non-integral integer or extents of the wrong length is a
         validation failure that writes nothing."""
-        params = tmp_path / "p.txt"
+        params = tmp_path / "p.json"
         params.write_text(text)
         out = tmp_path / "d"
         assert main(["generate", "--params", str(params),
@@ -256,12 +268,12 @@ class TestGenerate:
     def test_nonfinite_params_value(self, tmp_path, capsys, key):
         """A NaN phantom parameter is a validation failure naming its key,
         and writes nothing."""
-        params = tmp_path / "p.txt"
-        params.write_text(with_value(tiny_params().to_text(), key, "nan"))
+        params = tmp_path / "p.json"
+        params.write_text(config_json(tiny_params(), **{key: math.nan}))
         out = tmp_path / "d"
         assert main(["generate", "--params", str(params),
                      "--out", str(out)]) == 3
-        assert f"{key} must be finite" in capsys.readouterr().err
+        assert f"{key}' must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override(self, params_path, tmp_path):
@@ -278,8 +290,8 @@ class TestTrain:
                                                tmp_path, capsys):
         """Training for zero epochs saves the freshly initialized weights
         and an empty history."""
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(quick_train_config(epochs=0).to_text())
+        cfg = tmp_path / "t.json"
+        cfg.write_text(config_json(quick_train_config(epochs=0)))
         out = tmp_path / "run0"
         assert main(["train", "--manifest", manifest_path, "--arch-config",
                      arch_path, "--train-config", str(cfg),
@@ -327,13 +339,14 @@ class TestTrain:
                                     capsys, key, value):
         """A NaN or infinite float in the training config is a validation
         failure naming its key, before anything is written."""
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(with_value(quick_train_config().to_text(), key, value))
+        cfg = tmp_path / "t.json"
+        cfg.write_text(config_json(quick_train_config(),
+                                   **{key: float(value)}))
         out = tmp_path / "run"
         assert main(["train", "--manifest", manifest_path, "--arch-config",
                      arch_path, "--train-config", str(cfg),
                      "--out", str(out)]) == 3
-        assert f"{key} must be finite" in capsys.readouterr().err
+        assert f"{key}' must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_extent_mismatch_leaves_no_output(self, manifest_path,
@@ -380,17 +393,16 @@ class TestEval:
     def test_memorized_model_diagonal_confusion(self, tmp_path, capsys):
         """A model that memorized its three training samples evaluates to a
         diagonal confusion matrix (accuracy 1) on that split."""
-        params = tmp_path / "p.txt"
-        params.write_text(tiny_params(samples_per_class=1, seed=5).to_text())
+        params = tmp_path / "p.json"
+        params.write_text(config_json(tiny_params(samples_per_class=1, seed=5)))
         data = tmp_path / "data"
         assert main(["generate", "--params", str(params),
                      "--out", str(data)]) == 0
         arch = tmp_path / "arch.json"
         arch.write_text(config_to_json(tiny_arch()))
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(quick_train_config(
-            epochs=150, lr0=1e-2, batch_size=3,
-            validation_freq_iters=1000).to_text())
+        cfg = tmp_path / "t.json"
+        cfg.write_text(config_json(quick_train_config(
+            epochs=150, lr0=1e-2, batch_size=3, validation_freq_iters=1000)))
         run = tmp_path / "run"
         manifest = str(data / "manifest.vman")
         assert main(["train", "--manifest", manifest, "--arch-config",
@@ -556,8 +568,8 @@ class TestEval:
 
     def test_empty_split_without_seed(self, tmp_path, model_trio, capsys):
         """Asking for an untagged split with no --seed fails cleanly."""
-        params = tmp_path / "p.txt"
-        params.write_text(tiny_params(samples_per_class=1, seed=3).to_text())
+        params = tmp_path / "p.json"
+        params.write_text(config_json(tiny_params(samples_per_class=1, seed=3)))
         data = tmp_path / "data"
         assert main(["generate", "--params", str(params),
                      "--out", str(data)]) == 0
@@ -572,8 +584,8 @@ class TestEval:
         """An untagged 6-volume manifest derives its split from --seed, and
         that split has no val samples (floor(0.15 * 6) = 0): the error says
         so instead of blaming missing val tags."""
-        params = tmp_path / "p.txt"
-        params.write_text(tiny_params(samples_per_class=2, seed=3).to_text())
+        params = tmp_path / "p.json"
+        params.write_text(config_json(tiny_params(samples_per_class=2, seed=3)))
         data = tmp_path / "data"
         assert main(["generate", "--params", str(params),
                      "--out", str(data)]) == 0
@@ -644,8 +656,8 @@ class TestEval:
 @pytest.fixture(scope="module")
 def cv_case(work, arch_path, train_cfg_path):
     """A 15-sample dataset plus one captured k=5 cross-validation report."""
-    params = work / "cv_params.txt"
-    params.write_text(tiny_params(samples_per_class=5, seed=7).to_text())
+    params = work / "cv_params.json"
+    params.write_text(config_json(tiny_params(samples_per_class=5, seed=7)))
     data = work / "cv_data"
     assert main(["generate", "--params", str(params), "--out", str(data)]) == 0
     manifest = str(data / "manifest.vman")
@@ -949,7 +961,9 @@ class TestOldFormats:
     file is a data error, and the command writes nothing."""
 
     @pytest.mark.parametrize("site", ["model v1", "arch config v1",
-                                      "manifest v1", "train config adam_eps"])
+                                      "manifest v1", "train config adam_eps",
+                                      "train config key = value",
+                                      "phantom params extent_depth"])
     def test_refused(self, site, dataset_dir, manifest_path, arch_path,
                      train_cfg_path, model_trio, tmp_path, capsys):
         out = tmp_path / "out"
@@ -978,14 +992,72 @@ class TestOldFormats:
                                      + [f"{r},0" for r in rows]) + "\n")
             inputs["--manifest"] = str(bad)
             message = "missing #VMAN2 header line"
-        else:
-            bad = tmp_path / "t.cfg"
-            bad.write_text(quick_train_config().to_text() + "adam_eps = 1e-8\n")
+        elif site == "train config adam_eps":
+            bad = tmp_path / "t.json"
+            bad.write_text(config_json(quick_train_config(), adam_eps=1e-8))
             inputs["--train-config"] = str(bad)
-            message = "unknown key 'adam_eps'"
+            message = "unknown training config field 'adam_eps'"
+        elif site == "train config key = value":
+            bad = tmp_path / "t.cfg"
+            bad.write_text("".join(
+                f"{k} = {v!r}\n"
+                for k, v in config_fields(quick_train_config()).items()))
+            inputs["--train-config"] = str(bad)
+            message = f"{bad}: malformed training config JSON"
+        else:
+            bad = tmp_path / "p.json"
+            bad.write_text('{"extent_depth": 20, "extent_height": 22, '
+                           '"extent_width": 20}')
+            command = "generate"
+            inputs = {"--params": str(bad)}
+            message = "unknown phantom params field 'extent_depth'"
         argv = [command] + [a for pair in inputs.items() for a in pair]
         assert main(argv + ["--out", str(out)]) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRepeatedKey:
+    """Every JSON reader refuses an object that repeats a key, naming it,
+    rather than keeping the last value; the command writes nothing."""
+
+    @pytest.mark.parametrize("site", ["arch config", "manifest header",
+                                      "train config", "phantom params"])
+    def test_refused(self, site, dataset_dir, manifest_path, arch_path,
+                     train_cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        command = "train"
+        inputs = {"--manifest": manifest_path, "--arch-config": arch_path,
+                  "--train-config": train_cfg_path}
+        if site == "arch config":
+            bad = tmp_path / "arch.json"
+            bad.write_text(config_to_json(tiny_arch())[:-1]
+                           + ',"class_count":3}')
+            inputs["--arch-config"] = str(bad)
+            key = "class_count"
+        elif site == "manifest header":
+            data = tmp_path / "data"
+            shutil.copytree(dataset_dir, data)
+            bad = data / "manifest.vman"
+            head, rest = bad.read_text().split("\n", 1)
+            bad.write_text(head[:-1] + ', "kind": "phantom"}\n' + rest)
+            inputs["--manifest"] = str(bad)
+            key = "kind"
+        elif site == "train config":
+            bad = tmp_path / "t.json"
+            bad.write_text(config_json(quick_train_config())[:-1]
+                           + ', "seed": 2}')
+            inputs["--train-config"] = str(bad)
+            key = "seed"
+        else:
+            bad = tmp_path / "p.json"
+            bad.write_text(config_json(tiny_params())[:-1] + ', "seed": 2}')
+            command = "generate"
+            inputs = {"--params": str(bad)}
+            key = "seed"
+        argv = [command] + [a for pair in inputs.items() for a in pair]
+        assert main(argv + ["--out", str(out)]) == 3
+        assert f"repeated key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -1057,7 +1129,7 @@ class TestInfo:
 
     def test_more_than_ten_inception_modules(self, tmp_path, capsys):
         """A stage of eleven modules is a validation error, not a crash."""
-        cfg = config_to_dict(GoogleNetConfig())
+        cfg = json.loads(config_to_json(GoogleNetConfig()))
         cfg["inception"][0] = cfg["inception"][0][:1] * 11
         path = tmp_path / "arch.json"
         path.write_text(json.dumps(cfg))

@@ -835,8 +835,8 @@ class TestSaveLoad:
             with pytest.raises(ValidationError, match="^unsupported config "
                                                       "format version 1$"):
                 load_model(with_config(**fields))
-        with pytest.raises(ValidationError, match="unknown config field "
-                                                  "'dropout_rate'"):
+        with pytest.raises(ValidationError, match="unknown architecture config "
+                                                  "field 'dropout_rate'"):
             load_model(with_config(dropout_rate=0.5))
 
     @pytest.mark.parametrize("container", ["vvol", "v0xn"])

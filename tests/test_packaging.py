@@ -1,11 +1,13 @@
-"""Checks on the package metadata."""
+"""Checks on the package metadata and on the README's documented usage."""
 
 import pathlib
 import re
 
 import voxcnn
+from voxcnn.volumes import PhantomParams, config_from_fields, parse_json
 
-PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_version_matches_pyproject():
@@ -15,3 +17,16 @@ def test_version_matches_pyproject():
                       re.MULTILINE)
     assert match is not None
     assert match.group(1) == voxcnn.__version__
+
+
+def test_readme_phantom_params_parse():
+    """The quick start's phantom-params file is one the config reader takes,
+    and the next command reads that file."""
+    readme = (ROOT / "README.md").read_text()
+    match = re.search(r"^printf '([^']*)' > (\S+)$", readme, re.MULTILINE)
+    assert match is not None
+    text, path = match.groups()
+    params = config_from_fields(PhantomParams, parse_json(text, path),
+                                "phantom params")
+    assert params.samples_per_class == 50
+    assert f"voxcnn generate --params {path} " in readme

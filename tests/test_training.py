@@ -1,6 +1,7 @@
 """Tests for splits, folds, adam, L2, and the training loop."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -29,6 +30,13 @@ from voxcnn.training import (
     split_dataset,
     train,
 )
+from voxcnn.volumes import config_fields, config_from_fields, parse_json
+
+
+def from_text(text):
+    """TrainConfig from the JSON text of a --train-config file."""
+    return config_from_fields(TrainConfig, parse_json(text, "config"),
+                              "training config")
 
 
 def micro_dataset(n_per_class=3, seed=0, shape=(3, 9, 9, 9)):
@@ -65,17 +73,15 @@ class TestTrainConfig:
 
     def test_text_round_trip(self):
         c = TrainConfig(epochs=30, lr0=1e-3, seed=7)
-        assert TrainConfig.from_text(c.to_text()) == c
+        assert from_text(json.dumps(config_fields(c))) == c
 
-    def test_from_text_accepts_comments_and_blanks(self):
-        text = "# schedule\nepochs = 12\n\nlr0 = 0.001  # fast\n"
-        c = TrainConfig.from_text(text)
-        assert c.epochs == 12
-        assert c.lr0 == 0.001
+    def test_from_text_omitted_fields_take_defaults(self):
+        c = from_text('{\n  "epochs": 12,\n  "lr0": 0.001\n}\n')
+        assert c == TrainConfig(epochs=12, lr0=0.001)
 
     def test_from_text_rejects_unknown_key(self):
         with pytest.raises(ValidationError, match="momentum"):
-            TrainConfig.from_text("momentum = 0.9\n")
+            from_text('{"momentum": 0.9}')
 
     @pytest.mark.parametrize("key, value", [
         ("lr_factor", "0.75"), ("lr_period_epochs", "256"),
@@ -83,17 +89,18 @@ class TestTrainConfig:
     ])
     def test_from_text_rejects_recipe_constant(self, key, value):
         """The decay and adam settings are constants of the recipe, not
-        config keys: naming one, even at its fixed value, is refused."""
-        with pytest.raises(ValidationError, match=f"unknown key {key!r}"):
-            TrainConfig.from_text(f"{key} = {value}\n")
+        config fields: naming one, even at its fixed value, is refused."""
+        with pytest.raises(ValidationError,
+                           match=f"unknown training config field {key!r}"):
+            from_text(f'{{"{key}": {value}}}')
 
     def test_from_text_rejects_bad_value(self):
         with pytest.raises(ValidationError, match="epochs"):
-            TrainConfig.from_text("epochs = twelve\n")
+            from_text('{"epochs": "twelve"}')
 
     def test_from_text_rejects_non_integral_int(self):
         with pytest.raises(ValidationError, match="epochs"):
-            TrainConfig.from_text("epochs = 12.5\n")
+            from_text('{"epochs": 12.5}')
 
     def test_invalid_settings_rejected(self):
         for kwargs in (dict(epochs=-1), dict(batch_size=0),
@@ -109,8 +116,9 @@ class TestTrainConfig:
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match=key):
                 TrainConfig(**{key: value})
-        with pytest.raises(ValidationError, match=f"line 2: {key}"):
-            TrainConfig.from_text(f"epochs = 3\n{key} = nan\n")
+        with pytest.raises(ValidationError,
+                           match=f"field '{key}' must be finite"):
+            from_text(f'{{"epochs": 3, "{key}": NaN}}')
 
 
 class TestSplitDataset:

@@ -1,6 +1,7 @@
 """Tests for the volume file format, manifests, and the phantom generator."""
 
 import dataclasses
+import json
 import mmap
 import os
 import shutil
@@ -22,7 +23,7 @@ import voxcnn.volumes
 from voxcnn.errors import ValidationError
 from voxcnn.metrics import CLASSES
 from voxcnn.models import AlexNetConfig, GoogleNetConfig, VggConfig
-from voxcnn.presets import arch_preset
+from voxcnn.presets import ARCH_PRESETS, TRAIN_PRESETS, arch_preset
 from voxcnn.seeding import derive_seed
 from voxcnn.training import TrainConfig
 from voxcnn.volumes import (
@@ -33,11 +34,14 @@ from voxcnn.volumes import (
     VolumeDataset,
     VolumeRecord,
     atomic_write_bytes,
+    config_fields,
+    config_from_fields,
     generate_phantoms,
     load_manifest,
     load_mask,
     load_volume,
     make_phantom,
+    parse_json,
     read_volume,
     region_mask,
     save_volume,
@@ -49,6 +53,12 @@ from voxcnn.volumes import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def read_params(text):
+    """PhantomParams from the JSON text of a --params file."""
+    return config_from_fields(PhantomParams, parse_json(text, "params"),
+                              "phantom params")
+
+
 def tiny_record(seed=0, label="AD", vol_id="t1", extents=(2, 2, 2)):
     rng = np.random.default_rng(seed)
     data = rng.uniform(size=(3,) + extents).astype(np.float32)
@@ -56,6 +66,21 @@ def tiny_record(seed=0, label="AD", vol_id="t1", extents=(2, 2, 2)):
 
 
 class TestVolumeFormat:
+    @pytest.mark.parametrize("vol_id, match", [
+        ("a" * 65536, "65,535"), ("\u00e9" * 32768, "65,535"),
+        ("s\ud800", "not UTF-8"),
+    ], ids=["one-byte", "two-byte", "surrogate"])
+    def test_unwritable_id_rejected(self, vol_id, match):
+        """An id that write_volume cannot store, more UTF-8 bytes than the
+        u16 length field holds or none at all, is refused when the record
+        is built, not by struct or the codec in write_volume; 65,535 bytes
+        still round trip."""
+        with pytest.raises(ValidationError, match=match):
+            tiny_record(vol_id=vol_id)
+        longest = "a" * 65535
+        assert read_volume(write_volume(tiny_record(vol_id=longest))).id \
+            == longest
+
     def test_round_trip_is_field_identical(self):
         rec = tiny_record(extents=(4, 5, 6))
         again = read_volume(write_volume(rec))
@@ -293,6 +318,19 @@ class TestManifest:
                            match="missing #VMAN2 header line$"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("row, cell", [(",AD,s0,train", "path"),
+                                           ("s0.vvol,AD,,train", "subject")])
+    def test_empty_cell_rejected(self, tmp_path, row, cell):
+        """An empty path would resolve to the manifest's own directory and
+        an empty subject would name no sample: both are refused, naming
+        the manifest."""
+        self._write_volumes(tmp_path, n=1)
+        path = tmp_path / "m.vman"
+        path.write_text(f"#VMAN2 {{}}\n{row}\n")
+        with pytest.raises(ValidationError,
+                           match=f"^{path}: empty {cell} cell"):
+            load_manifest(path)
+
     @pytest.mark.parametrize("row", ["s0.vvol,AD,s0", "s0.vvol,AD,s0,test,3"])
     def test_row_needs_four_fields(self, tmp_path, row):
         self._write_volumes(tmp_path, n=1)
@@ -303,29 +341,21 @@ class TestManifest:
 
 
 class TestPhantomParams:
-    def test_text_round_trip(self):
-        params = PhantomParams(extents=(20, 24, 20), samples_per_class=5,
-                               region_radii=(2.0, 2.8, 3.6),
-                               cavity_scales=(1.2, 1.1, 1.0),
-                               noise_amplitude=0.05, jitter=0.5, seed=3)
-        again = PhantomParams.from_text(params.to_text())
-        assert again == params
-
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError, match="contrast"):
-            PhantomParams.from_text("contrast = 2\n")
+        with pytest.raises(ValidationError,
+                           match="unknown phantom params field 'contrast'"):
+            read_params('{"contrast": 2}')
 
-    @pytest.mark.parametrize("text", [
-        "extent_depth = 32.7\nextent_height = 40\nextent_width = 32\n",
-        "seed = 1.9\n",
-    ])
+    @pytest.mark.parametrize("text", ['{"extents": [32.7, 40, 32]}',
+                                      '{"seed": 1.9}'],
+                             ids=["extents", "seed"])
     def test_non_integral_int_rejected(self, text):
-        with pytest.raises(ValidationError, match="bad value"):
-            PhantomParams.from_text(text)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            read_params(text)
 
-    def test_incomplete_group_rejected(self):
-        with pytest.raises(ValidationError, match="extent_height"):
-            PhantomParams.from_text("extent_depth = 32\n")
+    def test_wrong_length_extents_rejected(self):
+        with pytest.raises(ValidationError, match="extents must be 3 values"):
+            read_params('{"extents": [32, 40]}')
 
     def test_radius_ordering_enforced(self):
         with pytest.raises(ValidationError, match="increase"):
@@ -353,10 +383,11 @@ class TestPhantomParams:
         with pytest.raises(ValidationError, match=name):
             PhantomParams(**kwargs)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
-    def test_nonfinite_text_value_names_line(self, value):
-        with pytest.raises(ValidationError, match="line 2: jitter must be finite"):
-            PhantomParams.from_text(f"seed = 1\njitter = {value}\n")
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_json_value_names_field(self, value):
+        with pytest.raises(ValidationError,
+                           match="field 'jitter' must be finite"):
+            read_params(f'{{"seed": 1, "jitter": {value}}}')
 
 
 class TestPhantomSamples:
@@ -479,10 +510,10 @@ class TestGeneratePhantoms:
 
     def test_metadata_reproduces_params(self, tmp_path):
         params = self._params(n=2)
-        manifest = generate_phantoms(params, tmp_path / "d")
-        text = "".join(f"{k} = {v!r}\n"
-                       for k, v in manifest.metadata["params"].items())
-        assert PhantomParams.from_text(text) == params
+        generate_phantoms(params, tmp_path / "d")
+        manifest = load_manifest(tmp_path / "d" / "manifest.vman")
+        assert config_from_fields(PhantomParams, manifest.metadata["params"],
+                                  "phantom params") == params
 
 
 class TestVolumeDataset:
@@ -749,9 +780,28 @@ WRONGLY_TYPED = [
 ]
 
 
+# every config the library ships, and phantom params off every default
+ROUND_TRIP = {**ARCH_PRESETS, **{f"train-{k}": v for k, v in
+                                 TRAIN_PRESETS.items()},
+              "phantom": PhantomParams(extents=(20, 24, 20),
+                                       samples_per_class=5,
+                                       region_radii=(2.0, 2.8, 3.6),
+                                       cavity_scales=(1.2, 1.1, 1.0),
+                                       noise_amplitude=0.04, jitter=0.5,
+                                       seed=3)}
+
+
 class TestConfigFieldTypes:
     """Architecture, training and phantom configs type-check their fields
     through volumes.check_fields, however they are built."""
+
+    @pytest.mark.parametrize("config", ROUND_TRIP.values(), ids=ROUND_TRIP)
+    def test_json_round_trip(self, config):
+        """Each config file is the JSON object of its fields: written by
+        config_fields, read by config_from_fields into an equal config."""
+        text = json.dumps(config_fields(config))
+        assert config_from_fields(type(config), parse_json(text, "config"),
+                                  "config") == config
 
     @pytest.mark.parametrize("build, field", WRONGLY_TYPED,
                              ids=[f for _, f in WRONGLY_TYPED])
@@ -770,6 +820,6 @@ class TestConfigFieldTypes:
         assert type(cfg.input_shape[1]) is int
         assert type(cfg.stem_kernel) is int
         assert TrainConfig(lr0=1).lr0 == 1.0
-        assert "lr0 = 1.0\n" in TrainConfig(lr0=1).to_text()
+        assert '"lr0": 1.0,' in json.dumps(config_fields(TrainConfig(lr0=1)))
         assert PhantomParams(region_radii=(3, 4, 5)).region_radii == \
             (3.0, 4.0, 5.0)
