@@ -554,20 +554,18 @@ def dense_param_grads(cache, grad_out):
     return np.outer(grad_out, x), grad_out.copy()
 
 
-def dropout(x, rate: float, mode: str, rng=None):
+def dropout(x, rate: float, rng=None):
     """Inverted dropout: zero with probability `rate`, scale survivors.
 
     Returns (output, mask); the mask already includes the 1/(1-rate)
-    survivor scaling so backward is a plain product.  Eval mode and rate 0
-    return x itself and None for the mask, which dropout_backward reads as
-    the identity; no layer changes its input in place, so x is not copied.
+    survivor scaling so backward is a plain product.  Rate 0 returns x
+    itself and None for the mask, which dropout_backward reads as the
+    identity; no layer changes its input in place, so x is not copied.
     """
     x = np.asarray(x, dtype=np.float64)
     if not 0.0 <= rate < 1.0:
         raise ValidationError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ValidationError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
+    if rate == 0.0:
         return x, None
     gen = np.random.default_rng(rng)
     keep = gen.random(x.shape) >= rate

@@ -145,28 +145,18 @@ def auc(curve: RocCurve) -> float:
 
 
 def misclassification_histogram(predictions, labels) -> dict:
-    """Per true class: percentage split of its misclassified samples.
+    """Per true class: percentage split of its misclassified samples, from
+    confusion_matrix (so its checks hold here too).
 
     Classes with no misclassifications map to an empty row.
     """
-    predictions = list(predictions)
-    labels = list(labels)
-    if len(predictions) != len(labels):
-        raise ValidationError(
-            f"{len(predictions)} predictions vs {len(labels)} labels"
-        )
-    rows: dict = {name: {} for name in CLASSES}
-    counts: dict = {name: {} for name in CLASSES}
-    for p, t in zip(predictions, labels):
-        if p == t:
-            continue
-        true_name, pred_name = CLASSES[t], CLASSES[p]
-        counts[true_name][pred_name] = counts[true_name].get(pred_name, 0) + 1
-    for true_name, row in counts.items():
-        total = sum(row.values())
-        if total:
-            rows[true_name] = {pred: 100.0 * c / total
-                               for pred, c in row.items()}
+    cm = confusion_matrix(predictions, labels)
+    rows: dict = {}
+    for t, true_name in enumerate(CLASSES):
+        wrong = {CLASSES[p]: int(c) for p, c in enumerate(cm[:, t])
+                 if p != t and c}
+        total = sum(wrong.values())
+        rows[true_name] = {pred: 100.0 * c / total for pred, c in wrong.items()}
     return rows
 
 

@@ -85,11 +85,10 @@ MODEL_FORMAT_VERSION = 2
 
 @dataclass
 class Run:
-    """Per-call state a layer forward may read: the forward mode, the dropout
-    generator (train mode only), the rate of every dropout layer, and which
+    """Per-call state a layer forward may read: the dropout generator and
+    the rate of every dropout layer (None and 0 in eval mode), and which
     backward state is recorded (one of RECORD)."""
 
-    mode: str
     gen: np.random.Generator | None
     dropout_rate: float
     record: str
@@ -206,7 +205,7 @@ class DropoutLayer(Layer):
     kind: ClassVar[str] = "dropout"
 
     def forward(self, x, params, run):
-        return dropout(x, run.dropout_rate, run.mode, run.gen)
+        return dropout(x, run.dropout_rate, run.gen)
 
     def backward(self, cache, g, grads):
         return dropout_backward(cache, g)
@@ -758,8 +757,8 @@ def forward(model: Model, x, mode: str = "eval", rng=None,
         raise ValidationError("model does not end in a softmax layer")
     if not np.isfinite(x).all():
         raise NumericError("model input: non-finite values")
-    run = Run(mode, np.random.default_rng(rng) if mode == "train" else None,
-              dropout_rate, record)
+    run = (Run(np.random.default_rng(rng), dropout_rate, record)
+           if mode == "train" else Run(None, 0.0, record))
     probs, entries = _forward_walk(model.layers, x, model.params, run)
     kept = None if record == "none" else entries
     return probs, ForwardCache(model.layers, model.params, record, kept, entries[-1])

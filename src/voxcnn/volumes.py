@@ -27,10 +27,13 @@ A manifest is a text file whose first line is "#VMAN2 <json metadata>"
 followed by one CSV record per volume: path,label,subject,split (path
 relative to the manifest's directory; label and split may be empty).
 
-VolumeDataset holds each volume encoded, never decoded: from_manifest reads
-and fully checks each file once, then keeps a read-only map of it and no
-open descriptor.  `record`/`example` copy the mapped bytes once, drop the
-map's resident pages and decode and re-check the copy, on every call.
+load_manifest reads the manifest alone and opens no volume.  VolumeDataset
+is built from a Manifest (from_manifest: from its file) and holds each
+volume encoded, never decoded: it opens each listed file once, reads and
+fully checks it, then keeps a read-only map of it and no open descriptor;
+a missing file is a FileNotFoundError.  `record`/`example` copy the mapped
+bytes once, drop the map's resident pages and decode and re-check the copy,
+on every call.
 Resident memory so follows the volume being read, not the dataset's size
 (1,500 full-size volumes of 3x157x189x156 float32 are 83 GB).
 A mapped file stays readable after it is unlinked and keeps its contents
@@ -311,8 +314,8 @@ def write_volume(record: VolumeRecord) -> bytes:
 
 
 def read_volume(data: bytes) -> VolumeRecord:
-    """The volume encoded in `data`.  A record read from a `bytes` object
-    shares its payload, read-only; from any other buffer it gets a copy."""
+    """The volume encoded in `data`; the record shares its payload,
+    read-only."""
     r = Reader(data, "volume")
     r.open(VOLUME_MAGIC, VOLUME_FORMAT_VERSION)
     d, h, w, channels = r.unpack("<IIII")
@@ -322,8 +325,6 @@ def read_volume(data: bytes) -> VolumeRecord:
     label = r.text("<H") or None
     payload = np.frombuffer(r.take(12 * d * h * w), dtype="<f4")
     r.done()
-    if not isinstance(data, bytes):
-        payload = payload.copy()
     return VolumeRecord(id=vol_id, label=label,
                         data=payload.reshape(3, d, h, w))
 
@@ -431,9 +432,10 @@ def write_manifest(manifest: Manifest, path) -> None:
 
 
 def load_manifest(path) -> Manifest:
-    """Parse and validate: unique subjects/paths, volumes present.
+    """Parse and validate the manifest alone: its header, unique subjects
+    and paths, known labels and split tags.
 
-    No volume file is opened; VolumeDataset.from_manifest reads each once.
+    No volume file is opened or checked: VolumeDataset opens each once.
     """
     lines = read_text(path).splitlines()
     tag, space, header = (lines[0] if lines else "").partition(" ")
@@ -470,12 +472,8 @@ def load_manifest(path) -> Manifest:
         if len(set(values)) != len(values):
             dup = next(v for v in values if values.count(v) > 1)
             raise ValidationError(f"duplicate {what} {dup!r} in manifest")
-    manifest = Manifest(records=tuple(records), metadata=metadata,
-                        base_dir=base_dir)
-    for r in records:
-        if not os.path.exists(manifest.resolve(r)):
-            raise ValidationError(f"manifest references missing volume {r.path!r}")
-    return manifest
+    return Manifest(records=tuple(records), metadata=metadata,
+                    base_dir=base_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -484,61 +482,57 @@ def load_manifest(path) -> Manifest:
 
 
 class _Held(NamedTuple):
-    """One dataset sample: its encoded volume and what loading read of it."""
+    """One dataset sample: its volume file's map and what loading read of it."""
 
-    data: object  # write_volume bytes, any buffer holding them, or a map
+    data: object  # a `_map_file` map of the volume file
     label: str | None
     extents: tuple
-    mapped: bool  # data is a `_map_file` map
+    split: str | None  # the manifest's split tag
 
 
 class VolumeDataset:
-    """Volumes keyed by subject id, all of one extent, each held encoded.
+    """A manifest's volumes keyed by subject id, all of one extent, each
+    held as a read-only map of its file.
 
     A volume is decoded and fully checked (CRC-32, header, values) on
     every `record` or `example` call, and refused if its id, label or
     extents differ from those read when the dataset was built; `ids`,
     `label_of`, `extents` and `split_ids` decode nothing.  So the process
-    holds no decoded volume between calls, and no page of a mapped one.
+    holds no decoded volume between calls, and no page of a map.
     """
 
-    def __init__(self, volumes: dict, splits: dict):
-        """`volumes` maps each sample id to its encoded volume (write_volume
-        bytes or any buffer holding them), `splits` to its split tag or
-        None.  Each volume is read and checked once here."""
+    def __init__(self, manifest: Manifest):
+        """Open each file `manifest` lists once, read and fully check it,
+        then hold a map of it with no descriptor left open (see the module
+        docstring).  A repeated subject, a volume whose id is not its
+        subject, whose extents differ from the first's or whose label
+        disagrees with the manifest raise ValidationError; a missing file
+        raises FileNotFoundError."""
         self._held = {}
-        self._splits = splits
-        for sid, data in volumes.items():
-            self._hold(sid, data, read_volume(data), f"volume {sid!r}")
-
-    def _hold(self, sid, data, vol: VolumeRecord, what: str,
-              mapped=False) -> None:
-        """Keep `data`, whose decoded volume is `vol`, as sample `sid`."""
-        if vol.id != sid:
-            raise ValidationError(
-                f"{what} carries id {vol.id!r}, listed as {sid!r}")
-        if self._held and vol.extents != self.extents:
-            raise ValidationError(
-                f"{what} extents {vol.extents} differ from {self.extents}")
-        self._held[sid] = _Held(data, vol.label, vol.extents, mapped)
+        for mrec in manifest.records:
+            what = f"volume {mrec.path!r}"
+            if mrec.subject in self._held:
+                raise ValidationError(
+                    f"duplicate subject id {mrec.subject!r} in manifest")
+            with open(manifest.resolve(mrec), "rb") as f:
+                vol = read_volume(f.read())
+                data = _map_file(f)
+            if vol.id != mrec.subject:
+                raise ValidationError(
+                    f"{what} carries id {vol.id!r}, listed as {mrec.subject!r}")
+            if self._held and vol.extents != self.extents:
+                raise ValidationError(
+                    f"{what} extents {vol.extents} differ from {self.extents}")
+            if mrec.label is not None and vol.label is not None \
+                    and mrec.label != vol.label:
+                raise ValidationError(f"{what}: label disagrees with manifest")
+            self._held[mrec.subject] = _Held(data, vol.label, vol.extents,
+                                             mrec.split)
 
     @classmethod
     def from_manifest(cls, path) -> "VolumeDataset":
-        """The manifest's volumes: each file is opened once, read and fully
-        checked, then held as a read-only map of that file, with no
-        descriptor left open (see the module docstring)."""
-        manifest = load_manifest(path)
-        dataset = cls({}, {r.subject: r.split for r in manifest.records})
-        for mrec in manifest.records:
-            with open(manifest.resolve(mrec), "rb") as f:
-                vol = read_volume(f.read())
-                dataset._hold(mrec.subject, _map_file(f), vol,
-                              f"volume {mrec.path!r}", mapped=True)
-            if mrec.label is not None and vol.label is not None \
-                    and mrec.label != vol.label:
-                raise ValidationError(
-                    f"volume {mrec.path!r}: label disagrees with manifest")
-        return dataset
+        """The dataset of the manifest file at `path`."""
+        return cls(load_manifest(path))
 
     @property
     def ids(self) -> tuple:
@@ -560,15 +554,12 @@ class VolumeDataset:
             raise ValidationError(f"unknown sample id {sample_id!r}") from None
 
     def record(self, sample_id) -> VolumeRecord:
-        """The sample's volume, decoded and checked from its bytes."""
+        """The sample's volume, decoded and checked from one copy of its
+        map (whose pages are then dropped), so the checksum covers exactly
+        the values decoded, however the file changes meanwhile."""
         held = self._entry(sample_id)
-        data = held.data
-        if not isinstance(data, bytes):
-            # read a buffer that may be written to once, so the checksum
-            # covers exactly the values decoded
-            data = bytes(data)
-            if held.mapped:
-                _drop_pages(held.data)
+        data = bytes(held.data)
+        _drop_pages(held.data)
         vol = read_volume(data)
         if (vol.id, vol.label, vol.extents) != (sample_id, held.label,
                                                  held.extents):
@@ -588,11 +579,8 @@ class VolumeDataset:
 
     def split_ids(self, split: str) -> tuple:
         """Ids tagged with `split`; "heldout" = val + test."""
-        if split == "heldout":
-            return tuple(i for i in self.ids
-                         if self._splits[i] in ("val", "test"))
-        ids = tuple(i for i in self.ids if self._splits[i] == split)
-        return ids
+        tags = ("val", "test") if split == "heldout" else (split,)
+        return tuple(i for i, h in self._held.items() if h.split in tags)
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +748,8 @@ def generate_phantoms(params: PhantomParams, out_dir) -> Manifest:
         save_volume(rec, os.path.join(out_dir, rel))
         mask_paths[label] = rel
 
-    d, h, w = params.extents
-    metadata = {
-        "kind": "phantom",
-        "extents": [d, h, w],
-        "seed": params.seed,
-        "samples_per_class": params.samples_per_class,
-        "masks": mask_paths,
-        "params": config_fields(params),
-    }
+    metadata = {"kind": "phantom", "masks": mask_paths,
+                "params": config_fields(params)}
     manifest = Manifest(records=tuple(records), metadata=metadata,
                         base_dir=out_dir)
     write_manifest(manifest, os.path.join(out_dir, "manifest.vman"))

@@ -149,12 +149,12 @@ def test_criterion_02_gradients_match_finite_differences():
                           relative_error(analytic, numeric_gradient(f, arr)))
 
     xr = rng.standard_normal(40)
-    _, mask = dropout(xr, 0.3, "train", rng=5)
+    _, mask = dropout(xr, 0.3, rng=5)
     gr = rng.standard_normal(40)
     worst_layer = max(worst_layer, relative_error(
         dropout_backward(mask, gr),
         numeric_gradient(
-            lambda v: float((dropout(v, 0.3, "train", rng=5)[0] * gr).sum()),
+            lambda v: float((dropout(v, 0.3, rng=5)[0] * gr).sum()),
             xr)))
 
     logits = rng.standard_normal(3)

@@ -282,7 +282,7 @@ class TestGenerate:
         assert main(["generate", "--params", params_path, "--out", str(out),
                      "--seed", "99"]) == 0
         manifest = load_manifest(str(out / "manifest.vman"))
-        assert manifest.metadata["seed"] == 99
+        assert manifest.metadata["params"]["seed"] == 99
 
 
 class TestTrain:
@@ -565,6 +565,21 @@ class TestEval:
         assert main(["eval", "--manifest", str(data / "manifest.vman"),
                      "--model", model_trio[0], "--split", "all"]) == 3
         assert "malformed" in capsys.readouterr().err
+
+    def test_missing_volume_leaves_no_output(self, dataset_dir, model_trio,
+                                             tmp_path, capsys):
+        """A volume that the manifest lists but the disk lacks is an exit 3
+        naming the file, and --out is not created."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        victim = sorted((data / "volumes").iterdir())[0]
+        victim.unlink()
+        out = tmp_path / "out"
+        assert main(["eval", "--manifest", str(data / "manifest.vman"),
+                     "--model", model_trio[0], "--split", "all",
+                     "--out", str(out)]) == 3
+        assert victim.name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_split_without_seed(self, tmp_path, model_trio, capsys):
         """Asking for an untagged split with no --seed fails cleanly."""

@@ -36,6 +36,8 @@ from voxcnn.kernels import (
     relu_backward,
     softmax_xent,
 )
+from voxcnn.models import build_model, forward
+from voxcnn.presets import arch_preset
 
 from oracles import (
     conv3d_backward_loops,
@@ -593,18 +595,23 @@ class TestRelu:
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((3, 4))
-        out, mask = dropout(x, 0.5, "eval", rng=7)
-        assert out is x
-        assert mask is None
+        """An eval-mode forward hands every dropout layer rate 0, whatever
+        rate and generator it is given: each returns its input and records
+        no mask, and the output is the default forward's bit for bit."""
+        model = build_model(arch_preset("alexnet3d-micro"), seed=0)
+        x = np.random.default_rng(2).standard_normal((3, 9, 9, 9))
+        probs, cache = forward(model, x, mode="eval", rng=7, dropout_rate=0.5)
+        assert_array_equal(probs, forward(model, x)[0])
+        drops = [c for l, c in zip(model.layers, cache.entries)
+                 if l.kind == "dropout"]
+        assert drops and all(c is None for c in drops)
 
     def test_zero_rate_passes_through(self):
-        """Train mode at rate 0 returns its input and no mask, and the
-        backward hands the upstream gradient on unchanged."""
+        """Rate 0 returns its input and no mask, and the backward hands
+        the upstream gradient on unchanged."""
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 4))
-        out, mask = dropout(x, 0.0, "train", rng=7)
+        out, mask = dropout(x, 0.0, rng=7)
         assert out is x and mask is None
         g = rng.standard_normal((3, 4))
         assert dropout_backward(mask, g) is g
@@ -612,7 +619,7 @@ class TestDropout:
     def test_train_scaling_preserves_expectation(self):
         """Survivors are scaled by 1/(1-rate); sample mean stays near the raw mean."""
         x = np.ones(200_000)
-        out, mask = dropout(x, 0.4, "train", rng=123)
+        out, mask = dropout(x, 0.4, rng=123)
         kept = mask > 0
         assert abs(kept.mean() - 0.6) < 0.01
         assert_allclose(out[kept], 1.0 / 0.6, rtol=1e-12)
@@ -621,13 +628,13 @@ class TestDropout:
     def test_backward_uses_same_mask(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(64)
-        out, mask = dropout(x, 0.3, "train", rng=5)
+        out, mask = dropout(x, 0.3, rng=5)
         g = rng.standard_normal(64)
         assert_allclose(dropout_backward(mask, g), g * mask, rtol=0, atol=0)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ValidationError):
-            dropout(np.zeros(3), 1.0, "train")
+            dropout(np.zeros(3), 1.0)
 
 
 class TestConcat:

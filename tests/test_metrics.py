@@ -236,6 +236,16 @@ class TestMisclassificationHistogram:
         hist = misclassification_histogram(labels, labels)
         assert all(row == {} for row in hist.values())
 
+    @pytest.mark.parametrize("preds, labels", [
+        ([0, 1], [-1, 2]), ([5], [0]), ([], []), ([0], [0, 1]),
+    ], ids=["negative-label", "prediction-past-classes", "empty", "unpaired"])
+    def test_refused_like_confusion_matrix(self, preds, labels):
+        """The rows come from confusion_matrix, so its checks hold: label -1
+        is not counted as CN, prediction 5 is no IndexError, and an empty
+        or unpaired list is refused."""
+        with pytest.raises(ValidationError):
+            misclassification_histogram(preds, labels)
+
     def test_nonempty_rows_sum_to_100(self):
         rng = np.random.default_rng(6)
         preds = rng.integers(0, 3, size=120)

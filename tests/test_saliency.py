@@ -16,7 +16,13 @@ from voxcnn.saliency import (
     saliency_map,
 )
 from voxcnn.training import ArrayDataset
-from voxcnn.volumes import VolumeDataset, VolumeRecord, write_volume
+from voxcnn.volumes import (
+    Manifest,
+    ManifestRecord,
+    VolumeDataset,
+    VolumeRecord,
+    save_volume,
+)
 
 
 def micro(seed=0):
@@ -192,19 +198,23 @@ class TestClassMeanSaliency:
         assert_allclose(only_a0.data, saliency_map(model, x, 0).data,
                         atol=1e-15)
 
-    def _volumes(self, labels):
-        """A VolumeDataset of encoded 9x9x9 volumes, one per label (None:
-        unlabeled)."""
+    def _volumes(self, labels, directory):
+        """A VolumeDataset of 9x9x9 volume files under `directory`, one per
+        label (None: unlabeled)."""
         rng = np.random.default_rng(3)
-        volumes = {f"v{i}": write_volume(VolumeRecord(
-            id=f"v{i}", data=rng.random((3, 9, 9, 9)), label=label))
-                   for i, label in enumerate(labels)}
-        return VolumeDataset(volumes, dict.fromkeys(volumes))
+        rows = []
+        for i, label in enumerate(labels):
+            save_volume(VolumeRecord(id=f"v{i}", data=rng.random((3, 9, 9, 9)),
+                                     label=label), directory / f"v{i}.vvol")
+            rows.append(ManifestRecord(path=f"v{i}.vvol", label=label,
+                                       subject=f"v{i}"))
+        return VolumeDataset(Manifest(records=tuple(rows), metadata={},
+                                      base_dir=str(directory)))
 
-    def test_loads_only_the_class_volumes(self, monkeypatch):
+    def test_loads_only_the_class_volumes(self, tmp_path, monkeypatch):
         """Samples are chosen by label first; only the chosen volumes are
         loaded."""
-        ds = self._volumes(["AD", "CN", "AD", "MCI", "CN"])
+        ds = self._volumes(["AD", "CN", "AD", "MCI", "CN"], tmp_path)
         loaded = []
         real = VolumeDataset.example
 
@@ -216,8 +226,8 @@ class TestClassMeanSaliency:
         class_mean_saliency(micro(), ds, 2)
         assert loaded == ["v1", "v4"]
 
-    def test_unlabeled_sample_rejected(self):
-        ds = self._volumes(["AD", None])
+    def test_unlabeled_sample_rejected(self, tmp_path):
+        ds = self._volumes(["AD", None], tmp_path)
         with pytest.raises(ValidationError, match="unlabeled"):
             class_mean_saliency(micro(), ds, 0)
         assert class_mean_saliency(micro(), ds, 0, ids=["v0"]).peak > 0

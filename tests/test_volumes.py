@@ -65,6 +65,16 @@ def tiny_record(seed=0, label="AD", vol_id="t1", extents=(2, 2, 2)):
     return VolumeRecord(id=vol_id, data=data, label=label)
 
 
+def flip_byte(path, from_end):
+    """Invert, in place, the byte `from_end` bytes before the end of the
+    file at `path`."""
+    with open(path, "r+b") as f:
+        f.seek(-from_end, os.SEEK_END)
+        flipped = f.read(1)[0] ^ 0xFF
+        f.seek(-from_end, os.SEEK_END)
+        f.write(bytes([flipped]))
+
+
 class TestVolumeFormat:
     @pytest.mark.parametrize("vol_id, match", [
         ("a" * 65536, "65,535"), ("\u00e9" * 32768, "65,535"),
@@ -265,11 +275,14 @@ class TestManifest:
             load_manifest(tmp_path / "m.vman")
 
     def test_missing_volume_rejected(self, tmp_path):
+        """load_manifest opens no volume, so it reads a manifest listing a
+        missing one; building the dataset opens it and fails."""
         rec = ManifestRecord(path="ghost.vvol", label="AD", subject="g")
         m = Manifest(records=(rec,), metadata={}, base_dir=str(tmp_path))
         write_manifest(m, tmp_path / "m.vman")
-        with pytest.raises(ValidationError, match="ghost"):
-            load_manifest(tmp_path / "m.vman")
+        assert load_manifest(tmp_path / "m.vman").records == (rec,)
+        with pytest.raises(FileNotFoundError, match="ghost"):
+            VolumeDataset.from_manifest(tmp_path / "m.vman")
 
     def test_extent_mismatch_rejected(self, tmp_path):
         records = self._write_volumes(tmp_path, n=2)
@@ -519,13 +532,25 @@ class TestGeneratePhantoms:
 class TestVolumeDataset:
     """A dataset holds each volume encoded and decodes it on every access."""
 
-    def _bytes_dataset(self, n=3):
-        """(dataset, records, the encoded volumes it holds)."""
+    def _file_dataset(self, tmp_path, n=3):
+        """(dataset, records, {id: volume file}) of n small volumes, each
+        written to its own file under tmp_path."""
         recs = [tiny_record(seed=i, vol_id=f"s{i}", label=CLASSES[i % 3],
                             extents=(2, 3, 4)) for i in range(n)]
-        encoded = {r.id: bytearray(write_volume(r)) for r in recs}
-        ds = VolumeDataset(encoded, {r.id: "train" for r in recs})
-        return ds, recs, encoded
+        return self._dataset_of(tmp_path, recs), recs, {
+            r.id: tmp_path / f"{r.id}.vvol" for r in recs}
+
+    @staticmethod
+    def _dataset_of(tmp_path, recs, subjects=None):
+        """A dataset of `recs` written to files under tmp_path, listed as
+        `subjects` (default: their ids), every one tagged "train"."""
+        rows = []
+        for rec, subject in zip(recs, subjects or [r.id for r in recs]):
+            save_volume(rec, tmp_path / f"{rec.id}.vvol")
+            rows.append(ManifestRecord(path=f"{rec.id}.vvol", label=None,
+                                       subject=subject, split="train"))
+        return VolumeDataset(Manifest(records=tuple(rows), metadata={},
+                                      base_dir=str(tmp_path)))
 
     def _phantom_manifest(self, tmp_path):
         """Six phantom volumes under tmp_path/d; the manifest's path."""
@@ -538,8 +563,8 @@ class TestVolumeDataset:
     def _phantom_dataset(self, tmp_path):
         return VolumeDataset.from_manifest(self._phantom_manifest(tmp_path))
 
-    def test_bytes_constructor_decodes_each_access(self):
-        ds, recs, _ = self._bytes_dataset()
+    def test_decodes_each_access(self, tmp_path):
+        ds, recs, _ = self._file_dataset(tmp_path)
         assert ds.ids == ("s0", "s1", "s2")
         assert ds.extents == (2, 3, 4)
         for r in recs:
@@ -548,18 +573,26 @@ class TestVolumeDataset:
             assert y == CLASSES.index(r.label)
             assert ds.record(r.id).data.tobytes() == r.data.tobytes()
 
-    def test_bytes_constructor_checks_id_and_extents(self):
+    def test_constructor_checks_id_and_extents(self, tmp_path):
         rec = tiny_record(vol_id="a")
         with pytest.raises(ValidationError, match="carries id 'a'"):
-            VolumeDataset({"b": write_volume(rec)}, {"b": None})
+            self._dataset_of(tmp_path, [rec], subjects=["b"])
         odd = tiny_record(vol_id="b", extents=(3, 3, 3))
         with pytest.raises(ValidationError, match="extents"):
-            VolumeDataset({"a": write_volume(rec), "b": write_volume(odd)},
-                          {"a": None, "b": None})
+            self._dataset_of(tmp_path, [rec, odd])
 
-    def test_metadata_decodes_nothing(self, monkeypatch):
+    def test_repeated_subject_refused(self, tmp_path):
+        """A Manifest built in code is not checked by load_manifest, so the
+        dataset refuses a subject listed twice, even as the same file
+        (whose id check would pass)."""
+        rec = tiny_record(vol_id="s0")
+        with pytest.raises(ValidationError,
+                           match="duplicate subject id 's0'"):
+            self._dataset_of(tmp_path, [rec, rec])
+
+    def test_metadata_decodes_nothing(self, tmp_path, monkeypatch):
         """ids, labels, extents and split tags come from loading time."""
-        ds, recs, _ = self._bytes_dataset()
+        ds, recs, _ = self._file_dataset(tmp_path)
 
         def refuse(data):
             raise AssertionError("a volume was decoded")
@@ -570,17 +603,21 @@ class TestVolumeDataset:
         assert [ds.label_of(r.id) for r in recs] == [r.label for r in recs]
         assert ds.split_ids("train") == ds.ids
 
-    def test_changed_bytes_refused(self):
-        """A flipped payload byte fails the checksum; a valid volume with
-        another label in the same bytes is refused as well."""
-        ds, recs, encoded = self._bytes_dataset()
-        encoded["s0"][-10] ^= 0xFF
+    def test_changed_bytes_refused(self, tmp_path):
+        """A payload byte flipped in a mapped file fails the checksum; a
+        valid volume with another label written over the same bytes is
+        refused as well."""
+        ds, recs, paths = self._file_dataset(tmp_path)
+        flip_byte(paths["s0"], 10)
         with pytest.raises(ValidationError, match="checksum"):
             ds.example("s0")
-        encoded["s1"][:] = write_volume(
-            VolumeRecord(id="s1", data=recs[1].data, label="CN"))
+        relabeled = write_volume(
+            VolumeRecord(id="s2", data=recs[2].data, label="AD"))
+        assert len(relabeled) == paths["s2"].stat().st_size
+        with open(paths["s2"], "r+b") as f:
+            f.write(relabeled)
         with pytest.raises(ValidationError, match="changed since loading"):
-            ds.example("s1")
+            ds.example("s2")
 
     def test_examples_survive_deleted_files(self, tmp_path):
         ds = self._phantom_dataset(tmp_path)
@@ -621,23 +658,23 @@ class TestVolumeDataset:
         assert len(os.listdir("/proc/self/fd")) == before
         assert len(ds) == 6
 
-    def test_record_reads_a_changing_buffer_once(self):
-        """While another thread rewrites a held buffer between two valid
-        encodings of one sample, `record` returns one of the two volumes
-        bit for bit or raises, never a mix of them."""
+    def test_record_reads_a_changing_buffer_once(self, tmp_path):
+        """While another thread rewrites a mapped file in place between two
+        valid encodings of one sample, `record` returns one of the two
+        volumes bit for bit or raises, never a mix of them."""
         a, b = (tiny_record(seed=s, vol_id="s0", extents=(16, 20, 16))
                 for s in (0, 1))
         encodings = (write_volume(a), write_volume(b))
-        held = bytearray(encodings[0])
-        ds = VolumeDataset({"s0": held}, {"s0": None})
+        ds = self._dataset_of(tmp_path, [a])
         stop = threading.Event()
 
         def rewrite():
             k = 0
-            while not stop.is_set():
-                k ^= 1
-                held[:] = encodings[k]
-                time.sleep(0)  # let the reader run between rewrites
+            with open(tmp_path / "s0.vvol", "r+b", buffering=0) as f:
+                while not stop.is_set():
+                    k ^= 1
+                    os.pwrite(f.fileno(), encodings[k], 0)
+                    time.sleep(0)  # let the reader run between rewrites
 
         writer = threading.Thread(target=rewrite)
         writer.start()
@@ -653,28 +690,28 @@ class TestVolumeDataset:
             writer.join()
         assert set(seen) <= {a.data.tobytes(), b.data.tobytes()}
 
-    def test_bytes_written_after_the_check_are_not_decoded(self, monkeypatch):
-        """A payload byte flipped in the held buffer just after its checksum
+    def test_bytes_written_after_the_check_are_not_decoded(self, tmp_path,
+                                                           monkeypatch):
+        """A payload byte flipped in the mapped file just after its checksum
         was computed (the low byte of a float, so the value stays in range)
         does not reach the decoded volume."""
-        ds, recs, encoded = self._bytes_dataset()
+        ds, recs, paths = self._file_dataset(tmp_path)
 
         def check_then_flip(data):
             crc = zlib.crc32(data)
-            encoded["s0"][-12] ^= 0xFF
+            flip_byte(paths["s0"], 12)
             return crc
 
         monkeypatch.setattr(voxcnn.volumes, "zlib",
                             types.SimpleNamespace(crc32=check_then_flip))
         assert ds.record("s0").data.tobytes() == recs[0].data.tobytes()
 
-    def _decoded_from_bytes(self, manifest):
-        """The manifest's examples, decoded through the bytes constructor."""
+    @staticmethod
+    def _decoded_from_files(manifest):
+        """The manifest's examples, each file decoded by load_volume."""
         m = load_manifest(manifest)
-        ds = VolumeDataset({r.subject: Path(m.resolve(r)).read_bytes()
-                            for r in m.records},
-                           {r.subject: r.split for r in m.records})
-        return {i: ds.example(i) for i in ds.ids}
+        return {r.subject: (stack_input(load_volume(m.resolve(r))),
+                            CLASSES.index(r.label)) for r in m.records}
 
     @staticmethod
     def _read_all(ds, expected, passes):
@@ -686,10 +723,10 @@ class TestVolumeDataset:
 
     def test_threads_read_the_same_maps(self, tmp_path):
         """Two threads reading the same samples, each read dropping the
-        map's pages, get exactly the bytes constructor's values."""
+        map's pages, get exactly the values load_volume reads."""
         manifest = self._phantom_manifest(tmp_path)
         ds = VolumeDataset.from_manifest(manifest)
-        expected = self._decoded_from_bytes(manifest)
+        expected = self._decoded_from_files(manifest)
         with ThreadPoolExecutor(max_workers=2) as pool:
             for done in [pool.submit(self._read_all, ds, expected, 8)
                          for _ in range(2)]:
@@ -702,7 +739,7 @@ class TestVolumeDataset:
         monkeypatch.setattr(voxcnn.volumes, "_libc", None)
         ds = VolumeDataset.from_manifest(manifest)
         assert all(isinstance(ds._held[i].data, mmap.mmap) for i in ds.ids)
-        self._read_all(ds, self._decoded_from_bytes(manifest), 2)
+        self._read_all(ds, self._decoded_from_files(manifest), 2)
 
     def _resident_growth(self, tmp_path, code, setup=""):
         """Bytes of resident memory gained when a fresh process runs
