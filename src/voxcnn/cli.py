@@ -20,6 +20,7 @@ from .errors import NumericError, ValidationError
 from .kernels import ConvSpec, op_count
 from .metrics import (
     CLASSES,
+    METRIC_NAMES,
     auc,
     class_index,
     classwise_csv,
@@ -314,7 +315,6 @@ def cmd_crossval(args) -> int:
     lo, med, hi = _agg([r.accuracy for r in results])
     lines.append(f"aggregate,min={lo},median={med},max={hi}")
     lines.append("class,metric,min,median,max")
-    from .metrics import METRIC_NAMES
     for cname in CLASSES:
         for metric in METRIC_NAMES:
             lo, med, hi = _agg([r.classwise[cname][metric] for r in results])

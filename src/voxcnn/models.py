@@ -17,18 +17,21 @@ back-propagates.  _backpropagate alone picks the gradients: in training
 the first layer runs `param_grads`, and no input gradient is computed.
 
 Each layer class owns its kind: `out_shape`, `param_shapes`, `forward(x,
-params, run)`, `backward`, `param_grads` and `convs(shape)`; shape walks,
-parameter tables, execution and op counts are loops over those methods.  An
-inception module is a composite of four branches of plain child layers named
-"<module>.<tag>".  A config holds the architecture only: the dropout rate is
-part of the training recipe and reaches the dropout layers through the
-forward call.  Every config type-checks its fields when built, from Python
-or JSON alike, through `volumes.check_fields`: a wrongly typed value is a
-ValidationError naming the field, never truncated.  Its JSON (an
-`--arch-config` file, or inside a model file) is the object of its fields,
-as every config file is (`volumes.config_fields`), plus "architecture" and
-"format_version".  Layers call kernels by their module-global name at call
-time, so a wrapper set on e.g. `voxcnn.models.conv3d` sees every call.
+params, run)`, `backward` and `convs(shape)`, and a layer with parameters
+`param_grads`; shape walks, parameter tables, execution and op counts are
+loops over those methods.  `out_shape` checks extents only (out_extents):
+the builders wire every layer's channels and widths, and the config fixes
+the (3, D, H, W) input.  An inception module is a composite of four
+branches of plain child layers named "<module>.<tag>".  A config holds the
+architecture only: the dropout rate is part of the training recipe and
+reaches the dropout layers through the forward call.  Every config
+type-checks its fields when built, from Python or JSON alike, through
+`volumes.check_fields`: a wrongly typed value is a ValidationError naming
+the field, never truncated.  Its JSON (an `--arch-config` file, or inside a
+model file) is the object of its fields, as every config file is
+(`volumes.config_fields`), plus "architecture" and "format_version".
+Layers call kernels by their module-global name at call time, so a wrapper
+set on e.g. `voxcnn.models.conv3d` sees every call.
 """
 
 from __future__ import annotations
@@ -98,6 +101,18 @@ class Run:
 RECORD = ("all", "input", "none")
 
 
+def quiet_fp():
+    """np.errstate with no warning for overflow, invalid or divide-by-zero.
+
+    A forward, a backward and a training step each run under it once: a
+    non-finite value such an operation makes is then reported only as the
+    NumericError of the forward walk's activation scan, adam_step's
+    gradient check or train's loss check, also where warnings are errors
+    (python -W error).  It changes no value.
+    """
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 @dataclass(frozen=True)
 class Layer:
     """Base of every layer kind; defaults suit a parameter-free identity."""
@@ -120,10 +135,6 @@ class Layer:
         unless it is None (a cache recorded for the input gradient only)."""
         return g
 
-    def param_grads(self, cache, g, grads: dict):
-        """Store parameter gradients in grads; returns no input gradient."""
-        self.backward(cache, g, grads)
-
     def convs(self, shape: tuple) -> list:
         """(name, ConvSpec, input extents) for each conv this layer runs."""
         return []
@@ -136,12 +147,6 @@ class ConvLayer(Layer):
 
     def out_shape(self, shape):
         s = self.spec
-        if len(shape) != 4:
-            raise ValidationError(f"{self.name}: expects a volume input")
-        if shape[0] != s.in_channels:
-            raise ValidationError(
-                f"{self.name}: expects {s.in_channels} channels, gets {shape[0]}"
-            )
         return (s.out_channels,) + out_extents(
             shape[1:], s.kernel, s.stride, s.padding, what=self.name)
 
@@ -163,6 +168,8 @@ class ConvLayer(Layer):
         return conv3d_backward(cache, g)
 
     def param_grads(self, cache, g, grads):
+        """Store the weight and bias gradients in grads; returns no input
+        gradient."""
         grads[f"{self.name}.w"], grads[f"{self.name}.b"] = conv3d_param_grads(cache, g)
 
     def convs(self, shape):
@@ -176,8 +183,6 @@ class PoolLayer(Layer):
 
     def out_shape(self, shape):
         s = self.spec
-        if len(shape) != 4:
-            raise ValidationError(f"{self.name}: expects a volume input")
         return (shape[0],) + out_extents(
             shape[1:], s.kernel, s.stride, s.padding, what=self.name)
 
@@ -216,8 +221,6 @@ class FlattenLayer(Layer):
     kind: ClassVar[str] = "flatten"
 
     def out_shape(self, shape):
-        if len(shape) != 4:
-            raise ValidationError(f"{self.name}: expects a volume input")
         return (math.prod(shape),)
 
     def forward(self, x, params, run):
@@ -234,10 +237,6 @@ class DenseLayer(Layer):
     out_nodes: int
 
     def out_shape(self, shape):
-        if shape != (self.in_nodes,):
-            raise ValidationError(
-                f"{self.name}: expects ({self.in_nodes},), gets {shape}"
-            )
         return (self.out_nodes,)
 
     def param_shapes(self):
@@ -353,10 +352,6 @@ class InceptionLayer(Layer):
         ))
 
     def out_shape(self, shape):
-        if len(shape) != 4 or shape[0] != self.in_channels:
-            raise ValidationError(
-                f"{self.name}: expects ({self.in_channels}, D, H, W), gets {shape}"
-            )
         return (self.spec.out_channels,) + shape[1:]
 
     def param_shapes(self):
@@ -696,10 +691,6 @@ def build_model(config: ArchConfig, seed: int = 0) -> Model:
     return Model(config=config, layers=layers, params=params)
 
 
-def count_parameters(model: Model) -> int:
-    return sum(p.size for p in model.params.values())
-
-
 def layer_census(layers) -> dict:
     """Counts of top-level conv layers, dense layers, and inception modules."""
     kinds = [l.kind for l in layers]
@@ -753,13 +744,12 @@ def forward(model: Model, x, mode: str = "eval", rng=None,
         raise ValidationError(
             f"input shape {x.shape} does not match model input {model.input_shape}"
         )
-    if not model.layers or model.layers[-1].kind != "softmax":
-        raise ValidationError("model does not end in a softmax layer")
     if not np.isfinite(x).all():
         raise NumericError("model input: non-finite values")
     run = (Run(np.random.default_rng(rng), dropout_rate, record)
            if mode == "train" else Run(None, 0.0, record))
-    probs, entries = _forward_walk(model.layers, x, model.params, run)
+    with quiet_fp():
+        probs, entries = _forward_walk(model.layers, x, model.params, run)
     kept = None if record == "none" else entries
     return probs, ForwardCache(model.layers, model.params, record, kept, entries[-1])
 
@@ -795,11 +785,13 @@ def _backpropagate(model: Model, cache: ForwardCache, grad_logits,
             f"grad_logits shape {grad_logits.shape} != {cache.logits.shape}"
         )
     grads = {} if record == "all" else None
-    if training:
-        g = _backward_walk(model.layers[1:], cache.entries[1:], grad_logits, grads)
-        model.layers[0].param_grads(cache.entries[0], g, grads)
-        return grads, None
-    g = _backward_walk(model.layers, cache.entries, grad_logits, grads)
+    with quiet_fp():
+        if training:
+            g = _backward_walk(model.layers[1:], cache.entries[1:], grad_logits,
+                               grads)
+            model.layers[0].param_grads(cache.entries[0], g, grads)
+            return grads, None
+        g = _backward_walk(model.layers, cache.entries, grad_logits, grads)
     return grads or {}, g
 
 
@@ -811,9 +803,6 @@ def model_backward(model: Model, cache: ForwardCache, true_class: int):
     """
     _, loss, grad_logits = softmax_xent(cache.logits, true_class)
     grads, _ = _backpropagate(model, cache, grad_logits, training=True)
-    missing = set(model.params) - set(grads)
-    if missing:
-        raise ValidationError(f"gradients missing for {sorted(missing)}")
     return grads, loss
 
 

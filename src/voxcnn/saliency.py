@@ -25,10 +25,6 @@ class SaliencyVolume:
     class_id: int
     peak: float  # maximum magnitude before normalization
 
-    def __post_init__(self):
-        if self.data.ndim != 3:
-            raise ValidationError("saliency data must be (D, H, W)")
-
 
 def saliency_map(model: Model, x, class_id: int) -> SaliencyVolume:
     """Per-voxel input attribution for `class_id` on one volume."""

@@ -8,8 +8,9 @@ A training config file is the JSON object of TrainConfig's fields, read by
 `volumes.config_from_fields`; the decay and adam settings are constants,
 not fields.
 
-A dataset here is anything with `ids` and `example(sample_id) -> (volume,
-label_index)`; see ArrayDataset and voxcnn.volumes.VolumeDataset.
+A dataset here is anything with `ids` (a tuple of sample ids) and
+`example(sample_id) -> (volume, label_index)`, the volume a float64
+(3, D, H, W) array; voxcnn.volumes.VolumeDataset is the library's.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .kernels import softmax_xent
-from .metrics import CLASSES, classwise_metrics, confusion_matrix
-from .models import Model, build_model, forward, model_backward
+from .metrics import classwise_metrics, confusion_matrix
+from .models import Model, build_model, forward, model_backward, quiet_fp
 from .seeding import derive_seed
 from .volumes import check_fields
 
@@ -68,12 +69,9 @@ class SplitPlan:
         object.__setattr__(self, "train_ids", tuple(self.train_ids))
         object.__setattr__(self, "val_ids", tuple(self.val_ids))
         object.__setattr__(self, "test_ids", tuple(self.test_ids))
-        groups = (set(self.train_ids), set(self.val_ids), set(self.test_ids))
-        if sum(len(g) for g in groups) != len(self.train_ids) + len(
-                self.val_ids) + len(self.test_ids):
-            raise ValidationError("split contains duplicate ids within a group")
-        if groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2]:
-            raise ValidationError("split groups must be pairwise disjoint")
+        ids = self.train_ids + self.val_ids + self.test_ids
+        if len(set(ids)) != len(ids):
+            raise ValidationError("split groups must hold distinct ids")
 
 
 @dataclass(frozen=True)
@@ -83,12 +81,6 @@ class FoldPlan:
     def __post_init__(self):
         object.__setattr__(self, "folds",
                            tuple(tuple(f) for f in self.folds))
-        seen: set = set()
-        for f in self.folds:
-            ids = set(f)
-            if len(ids) != len(f) or ids & seen:
-                raise ValidationError("folds must be pairwise disjoint")
-            seen |= ids
 
     @property
     def k(self) -> int:
@@ -126,40 +118,6 @@ class TrainHistory:
                          f"{float(r.train_loss)!r},{float(r.val_loss)!r},"
                          f"{float(r.val_acc)!r}")
         return "\n".join(lines) + "\n"
-
-
-class ArrayDataset:
-    """In-memory dataset over explicit (volume, label_index) pairs."""
-
-    def __init__(self, examples: dict):
-        self._examples = dict(examples)
-        for sid, (x, y) in self._examples.items():
-            if np.asarray(x).ndim != 4:
-                raise ValidationError(f"sample {sid!r}: volume must be 4-d")
-            if not 0 <= int(y):
-                raise ValidationError(f"sample {sid!r}: bad label index {y}")
-
-    @property
-    def ids(self) -> tuple:
-        return tuple(self._examples)
-
-    def _pair(self, sample_id):
-        try:
-            return self._examples[sample_id]
-        except KeyError:
-            raise ValidationError(f"unknown sample id {sample_id!r}") from None
-
-    def example(self, sample_id):
-        x, y = self._pair(sample_id)
-        return np.asarray(x, dtype=np.float64), int(y)
-
-    def label_of(self, sample_id) -> str:
-        """The class name (metrics.CLASSES) of a sample's label index."""
-        y = int(self._pair(sample_id)[1])
-        if y >= len(CLASSES):
-            raise ValidationError(
-                f"sample {sample_id!r}: label index {y} names no class")
-        return CLASSES[y]
 
 
 # ---------------------------------------------------------------------------
@@ -366,28 +324,30 @@ def train(model: Model, dataset, split_plan: SplitPlan, config: TrainConfig,
             grad_sum: dict = {}
             data_loss = 0.0
             try:
-                for idx in batch:
-                    x, y = dataset.example(train_ids[idx])
-                    _, cache = forward(model, x, mode="train", rng=dropout_rng,
-                                       dropout_rate=config.dropout_rate)
-                    grads, loss = model_backward(model, cache, y)
-                    data_loss += loss
-                    for name, g in grads.items():
-                        if name in grad_sum:
-                            grad_sum[name] += g
-                        else:
-                            grad_sum[name] = g.copy()
-                scale = 1.0 / len(batch)
-                data_loss *= scale
-                for g in grad_sum.values():
-                    g *= scale
-                penalty, contrib = l2_term(model.params, config.l2_lambda)
-                for name, c in contrib.items():
-                    grad_sum[name] += c
-                total_loss = data_loss + penalty
-                if not math.isfinite(total_loss):
-                    raise NumericError("non-finite loss")
-                adam_step(model.params, grad_sum, state, lr)
+                with quiet_fp():
+                    for idx in batch:
+                        x, y = dataset.example(train_ids[idx])
+                        _, cache = forward(model, x, mode="train",
+                                           rng=dropout_rng,
+                                           dropout_rate=config.dropout_rate)
+                        grads, loss = model_backward(model, cache, y)
+                        data_loss += loss
+                        for name, g in grads.items():
+                            if name in grad_sum:
+                                grad_sum[name] += g
+                            else:
+                                grad_sum[name] = g.copy()
+                    scale = 1.0 / len(batch)
+                    data_loss *= scale
+                    for g in grad_sum.values():
+                        g *= scale
+                    penalty, contrib = l2_term(model.params, config.l2_lambda)
+                    for name, c in contrib.items():
+                        grad_sum[name] += c
+                    total_loss = data_loss + penalty
+                    if not math.isfinite(total_loss):
+                        raise NumericError("non-finite loss")
+                    adam_step(model.params, grad_sum, state, lr)
             except NumericError as e:
                 raise NumericError(f"iteration {iteration}: {e}") from e
             since_ckpt.append(total_loss)

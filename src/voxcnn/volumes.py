@@ -236,9 +236,8 @@ class VolumeRecord:
 
 
 def stack_input(record: VolumeRecord) -> np.ndarray:
-    """Channel-major float64 tensor in GM, WM, CSF order; values untouched."""
-    if record.data.shape[0] != 3:
-        raise ValidationError("record must carry exactly 3 channels")
+    """Channel-major float64 tensor in GM, WM, CSF order; values untouched
+    (a VolumeRecord always holds 3 channels)."""
     return record.data.astype(np.float64)
 
 

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 from numpy.testing import assert_allclose
 
+from helpers import ArrayDataset, count_parameters
 from oracles import (
     concordance_auc,
     conv3d_loops,
@@ -52,7 +53,6 @@ from voxcnn.models import (
     build_layers,
     build_model,
     config_to_json,
-    count_parameters,
     forward,
     infer_shapes,
     layer_census,
@@ -61,7 +61,6 @@ from voxcnn.models import (
 from voxcnn.presets import arch_preset, train_preset
 from voxcnn.saliency import class_mean_saliency, region_enrichment
 from voxcnn.training import (
-    ArrayDataset,
     SplitPlan,
     TrainConfig,
     evaluate,

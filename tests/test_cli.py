@@ -14,6 +14,7 @@ import math
 import os
 import shutil
 import struct
+import types
 import zlib
 from contextlib import redirect_stdout
 from dataclasses import replace
@@ -21,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import voxcnn.cli
 import voxcnn.saliency
 import voxcnn.training
 from voxcnn.cli import main
@@ -37,11 +39,12 @@ from voxcnn.models import (
     save_model_file,
 )
 from voxcnn.presets import arch_preset
-from voxcnn.training import TrainConfig
+from voxcnn.training import TrainConfig, TrainHistory
 from voxcnn.volumes import (
     PhantomParams,
     VolumeRecord,
     config_fields,
+    generate_phantoms,
     load_manifest,
     load_volume,
     save_volume,
@@ -304,6 +307,27 @@ class TestTrain:
             assert np.array_equal(saved.params[key], fresh.params[key])
         history = (out / "history.csv").read_text().strip().splitlines()
         assert len(history) == 1 and history[0].startswith("iteration,")
+
+    def test_config_default_and_seed_override(self, manifest_path, arch_path,
+                                              train_cfg_path, tmp_path,
+                                              monkeypatch):
+        """Without --train-config, train runs the default recipe; --seed
+        replaces the seed of the default and of a config file alike."""
+        seen = []
+
+        def spy(model, dataset, plan, config):
+            seen.append(config)
+            return model, TrainHistory(records=[])
+
+        monkeypatch.setattr(voxcnn.cli, "train", spy)
+        for i, extra in enumerate(([], ["--seed", "9"],
+                                   ["--train-config", train_cfg_path,
+                                    "--seed", "9"])):
+            assert main(["train", "--manifest", manifest_path, "--arch-config",
+                         arch_path, "--out", str(tmp_path / f"run{i}")]
+                        + extra) == 0
+        assert seen == [TrainConfig(), TrainConfig(seed=9),
+                        quick_train_config(seed=9)]
 
     def test_history_rows_at_validation_freq(self, model_dir):
         """Checkpoints land every validation_freq_iters iterations: with 10
@@ -651,6 +675,20 @@ class TestEval:
         assert main(["eval", "--manifest", str(path), "--model",
                      model_trio[0], "--split", "all"]) == 3
         assert "malformed metadata JSON" in capsys.readouterr().err
+
+    def test_single_class_split_has_no_roc(self, dataset_dir, model_trio,
+                                           tmp_path, capsys):
+        """A split holding one class has no ROC curve for any class: each
+        reads NA in the report, and no roc file is written."""
+        manifest = edited_manifest(dataset_dir, tmp_path, lambda rows: [
+            r for r in rows if ",AD," in r])
+        out = tmp_path / "out"
+        assert main(["eval", "--manifest", manifest, "--model", model_trio[0],
+                     "--split", "all", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        for cname in CLASSES:
+            assert f"roc {cname}: NA (single-class split)" in text
+        assert not list(out.glob("roc_*"))
 
     def test_nonfinite_model_tensor(self, manifest_path, tmp_path, capsys):
         """A model file with a NaN weight is refused at load time, naming the
@@ -1191,3 +1229,202 @@ class TestInfo:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+@pytest.fixture
+def guard_case(dataset_dir, manifest_path, model_trio, arch_path,
+               train_cfg_path, tmp_path):
+    """Paths the refusal table builds its commands from: the tiny dataset's
+    manifest, one with no split tags and one with no training tags, a model,
+    the config files and an --out directory."""
+    return types.SimpleNamespace(
+        manifest=manifest_path,
+        untagged=edited_manifest(dataset_dir, tmp_path / "untagged",
+                                 lambda rows: [r.rsplit(",", 1)[0] + ","
+                                               for r in rows]),
+        no_train=edited_manifest(dataset_dir, tmp_path / "no_train",
+                                 lambda rows: [r.replace(",train", ",test")
+                                               for r in rows]),
+        model=model_trio[0], arch=arch_path, train_cfg=train_cfg_path,
+        out=str(tmp_path / "out"))
+
+
+PROBE_USAGE = ("probe flags need --probe-conv KD,KH,KW --probe-input D,H,W "
+               "[--probe-channels CIN,COUT]")
+
+# (id, argv from guard_case's paths, its error message): one row per refusal
+# of the command line that no test above reaches; each exits 3, printing
+# "error: <message>", and leaves no --out directory
+GUARDS = [
+    ("untagged-without-seed", lambda f: [
+        "eval", "--manifest", f.untagged, "--model", f.model,
+        "--split", "test", "--out", f.out],
+     "manifest has no split tags; pass --seed to derive a split or use "
+     "--split all"),
+    ("no-training-tags", lambda f: [
+        "train", "--manifest", f.no_train, "--arch-config", f.arch,
+        "--train-config", f.train_cfg, "--out", f.out],
+     "manifest tags contain no training samples"),
+    ("no-workers", lambda f: [
+        "crossval", "--manifest", f.manifest, "--arch-config", f.arch,
+        "--train-config", f.train_cfg, "--k", "2", "--workers", "0",
+        "--out", f.out],
+     "workers must be at least 1"),
+    ("probe-conv", lambda f: [
+        "info", "--probe-conv", "3,3", "--probe-input", "8,8,8"], PROBE_USAGE),
+    ("probe-input", lambda f: ["info", "--probe-conv", "3,3,3"], PROBE_USAGE),
+    ("probe-channels", lambda f: [
+        "info", "--probe-conv", "3,3,3", "--probe-input", "8,8,8",
+        "--probe-channels", "1,x"], PROBE_USAGE),
+    ("input-shape", lambda f: [
+        "info", "--arch-config", "alexnet3d-toy", "--input-shape", "9,9"],
+     "--input-shape must be D,H,W"),
+]
+
+
+@pytest.mark.parametrize("argv, message",
+                         [pytest.param(a, m, id=i) for i, a, m in GUARDS])
+def test_guard_refuses(argv, message, guard_case, capsys):
+    assert main(argv(guard_case)) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(guard_case.out)
+
+
+class TestNumericFailure:
+    """A computation that turns non-finite exits 4 with one "numeric
+    failure" line and no --out directory.  pytest here turns warnings into
+    errors, as `python -W error` does, so a numpy warning on the way would
+    end the command in a traceback instead."""
+
+    def test_eval_with_overflowing_weights(self, manifest_path, tmp_path,
+                                           capsys):
+        model = build_model(tiny_arch(), seed=1)
+        for name, p in model.params.items():
+            if name.endswith(".w"):
+                p *= 1e100
+        path = tmp_path / "huge.v0xn"
+        save_model_file(model, str(path))
+        out = tmp_path / "out"
+        assert main(["eval", "--manifest", manifest_path, "--model", str(path),
+                     "--split", "all", "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: layer 'conv4': non-finite activations\n")
+        assert not out.exists()
+
+    def test_train_with_overflowing_learning_rate(self, manifest_path,
+                                                  arch_path, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(config_json(quick_train_config(lr0=1e300)))
+        out = tmp_path / "out"
+        assert main(["train", "--manifest", manifest_path, "--arch-config",
+                     arch_path, "--train-config", str(cfg),
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: iteration 2: layer ")
+        assert err.endswith(": non-finite activations\n")
+        assert not out.exists()
+
+
+def _flip(blob, pos, rng):
+    return blob[:pos] + bytes([blob[pos] ^ 1 << int(rng.integers(8))]) + \
+        blob[pos + 1:]
+
+
+def _truncate(blob, pos, rng):
+    return blob[:pos]
+
+
+def _insert(blob, pos, rng):
+    return blob[:pos] + bytes([int(rng.integers(256))]) + blob[pos:]
+
+
+def _delete(blob, pos, rng):
+    return blob[:pos] + blob[pos + 1:]
+
+
+def _replace(blob, pos, rng):
+    return blob[:pos] + bytes([(blob[pos] + int(rng.integers(1, 256))) % 256]) \
+        + blob[pos + 1:]
+
+
+EDITS = (_flip, _truncate, _insert, _delete, _replace)
+
+
+class TestCorruptionSweep:
+    """Seeded single-byte edits of every file kind the command line reads,
+    each run through main() in-process: every edit ends in exit 0 or 3,
+    with no traceback, no temporary file left behind and, on failure, no
+    --out directory.  The tests above each assert the message of one
+    hand-made corruption; this one holds the state for random ones."""
+
+    EDITS_PER_TARGET = 40
+
+    @pytest.fixture(scope="class")
+    def sweep_root(self, tmp_path_factory):
+        """Three 16-voxel phantoms, a model of 2-channel convs for them, and
+        the architecture, training and phantom config files."""
+        root = tmp_path_factory.mktemp("sweep")
+        params = replace(tiny_params(samples_per_class=1, seed=5),
+                         extents=(16, 16, 16))
+        (root / "params.json").write_text(config_json(params))
+        generate_phantoms(params, root / "data")
+        arch = replace(tiny_arch(), input_shape=(3, 16, 16, 16),
+                       conv_widths=(2, 2, 2, 2, 2), dense_widths=(4, 4))
+        (root / "arch.json").write_text(config_to_json(arch))
+        (root / "train.json").write_text(
+            config_json(quick_train_config(epochs=0)))
+        save_model_file(build_model(arch, seed=1), str(root / "model.v0xn"))
+        return root
+
+    def test_single_byte_edits(self, sweep_root, capsys):
+        root = sweep_root
+        out = root / "out"
+        data = root / "data"
+        manifest = str(data / "manifest.vman")
+        evaluate = ["eval", "--manifest", manifest, "--model",
+                    str(root / "model.v0xn"), "--split", "all",
+                    "--out", str(out)]
+        train = ["train", "--manifest", manifest, "--arch-config",
+                 str(root / "arch.json"), "--train-config",
+                 str(root / "train.json"), "--out", str(out)]
+        # edited file -> the command that reads it
+        targets = {
+            data / "manifest.vman": evaluate,
+            root / "model.v0xn": evaluate,
+            data / "volumes" / "MCI0000.vvol": evaluate,
+            data / "masks" / "mask_AD.vvol": [
+                "saliency", "--manifest", manifest, "--model",
+                str(root / "model.v0xn"), "--classes", "AD", "--mask",
+                str(data / "masks" / "mask_AD.vvol"), "--out", str(out)],
+            root / "arch.json": train,
+            root / "train.json": train,
+            root / "params.json": ["generate", "--params",
+                                   str(root / "params.json"),
+                                   "--out", str(out)],
+        }
+        rng = np.random.default_rng(26)
+        faults, codes = [], []
+        for path, argv in targets.items():
+            original = path.read_bytes()
+            for _ in range(self.EDITS_PER_TARGET):
+                edit = EDITS[rng.integers(len(EDITS))]
+                pos = int(rng.integers(len(original)))
+                path.write_bytes(edit(original, pos, rng))
+                case = f"{path.name} {edit.__name__[1:]} at {pos}"
+                try:
+                    rc = main(argv)
+                except Exception as e:
+                    faults.append(f"{case}: {type(e).__name__}: {e}")
+                    rc = None
+                codes.append(rc)
+                capsys.readouterr()
+                if rc not in (0, 3, None):
+                    faults.append(f"{case}: exit {rc}")
+                if list(root.rglob("*.tmp.*")):
+                    faults.append(f"{case}: temporary files left")
+                if rc != 0 and out.exists():
+                    faults.append(f"{case}: --out left after exit {rc}")
+                shutil.rmtree(out, ignore_errors=True)
+            path.write_bytes(original)
+        assert faults == []
+        assert codes.count(3) > codes.count(0) > 0

@@ -1,6 +1,7 @@
 """Kernel-level checks against naive reference implementations."""
 
 import os
+import re
 import platform
 import subprocess
 import sys
@@ -772,3 +773,53 @@ def test_repeated_forwards_reuse_freed_memory():
     faults = [int(v) for v in done.stdout.split()]
     assert len(faults) == 4
     assert max(faults[1:]) < 100, faults
+
+
+# (id, call, message of its ValidationError): one row per guard of the
+# geometry types and the kernels that no test above reaches
+GUARDS = [
+    ("triple", lambda: ConvSpec(1, 1, (3, 3)), "expected 3 extents, got (3, 3)"),
+    ("conv-channels", lambda: ConvSpec(0, 1, 3),
+     "channel counts must be positive"),
+    ("conv-kernel", lambda: ConvSpec(1, 1, 0),
+     "kernel and stride extents must be positive"),
+    ("conv-padding", lambda: ConvSpec(1, 1, 3, 1, -1),
+     "padding must be non-negative"),
+    ("pool-stride", lambda: PoolSpec(3, 0),
+     "kernel and stride extents must be positive"),
+    ("pool-padding", lambda: PoolSpec(3, 1, -1), "padding must be non-negative"),
+    ("empty-input", lambda: out_extents((4, 0, 4), (1, 1, 1), (1, 1, 1),
+                                        (0, 0, 0)),
+     "layer: input height extent 0 < 1"),
+    ("conv-rank", lambda: conv3d(np.zeros((2, 4, 4)), np.zeros((3, 2, 1, 1, 1)),
+                                 np.zeros(3), ConvSpec(2, 3, 1)),
+     "input must be 4-d (C, D, H, W), got shape (2, 4, 4)"),
+    ("conv-weights", lambda: conv3d(np.zeros((2, 4, 4, 4)),
+                                    np.zeros((3, 2, 3, 3, 3)), np.zeros(3),
+                                    ConvSpec(2, 3, 1)),
+     "conv3d: weights shape (3, 2, 3, 3, 3) != expected (3, 2, 1, 1, 1)"),
+    ("conv-bias", lambda: conv3d(np.zeros((2, 4, 4, 4)),
+                                 np.zeros((3, 2, 1, 1, 1)), np.zeros(2),
+                                 ConvSpec(2, 3, 1)),
+     "conv3d: bias shape (2,) != (3,)"),
+    ("dense-rank", lambda: dense(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(3)),
+     "dense: input must be 1-d, got shape (2, 2)"),
+    ("dense-bias", lambda: dense(np.zeros(2), np.zeros((3, 2)), np.zeros(2)),
+     "dense: bias shape (2,) != (3,)"),
+    ("concat-none", lambda: concat_channels([]),
+     "concat_channels: need at least one input"),
+    ("concat-upstream", lambda: concat_channels_backward(
+        (1, 2), np.zeros((4, 2, 2, 2))),
+     "concat backward: upstream has 4 channels, expected 3"),
+    ("softmax-rank", lambda: softmax_xent(np.zeros((2, 2))),
+     "softmax: logits must be 1-d, got (2, 2)"),
+    ("softmax-class", lambda: softmax_xent(np.zeros(3), 3),
+     "softmax: class 3 out of range for 3 logits"),
+]
+
+
+@pytest.mark.parametrize("call, message",
+                         [pytest.param(c, m, id=i) for i, c, m in GUARDS])
+def test_guard_refuses(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,8 @@
 """Tests for confusion matrices, class-wise metrics, ROC/AUC, and the
 misclassification histogram."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from oracles import concordance_auc
 from voxcnn.errors import ValidationError
 from voxcnn.metrics import (
     CLASSES,
+    RocCurve,
     auc,
     class_index,
     classwise_csv,
@@ -287,3 +290,27 @@ class TestRenderings:
         assert class_index("CN") == 2
         with pytest.raises(ValidationError):
             class_index("HC")
+
+
+# (id, call, message of its ValidationError): one row per guard that no test
+# above reaches
+GUARDS = [
+    ("negative-count", lambda: classwise_metrics(np.array([[1, -1], [0, 2]])),
+     "confusion matrix counts must be non-negative"),
+    ("empty-matrix", lambda: overall_accuracy(np.zeros((3, 3), dtype=int)),
+     "confusion matrix is empty"),
+    ("unpaired", lambda: roc_curve([0.2, 0.8], [0], 0),
+     "scores and labels must be equal-length vectors"),
+    ("no-samples", lambda: roc_curve([], [], 0),
+     "cannot build a curve from zero samples"),
+    ("decreasing", lambda: auc(RocCurve(0, ((0.0, 0.0), (0.5, 0.5),
+                                            (0.4, 0.9), (1.0, 1.0)), ())),
+     "malformed curve: coordinates must not decrease"),
+]
+
+
+@pytest.mark.parametrize("call, message",
+                         [pytest.param(c, m, id=i) for i, c, m in GUARDS])
+def test_guard_refuses(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

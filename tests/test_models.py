@@ -1,6 +1,7 @@
 """Tests for architecture builders, whole-model execution, and model files."""
 
 import json
+import re
 import struct
 import tracemalloc
 import zlib
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import voxcnn.models
+from helpers import count_parameters
 from voxcnn.errors import NumericError, ValidationError
 from voxcnn.kernels import ConvSpec, PoolSpec, conv3d, maxpool3d, softmax_xent
 from voxcnn.models import (
@@ -34,7 +36,6 @@ from voxcnn.models import (
     config_from_json,
     config_to_dict,
     config_to_json,
-    count_parameters,
     forward,
     infer_shapes,
     layer_census,
@@ -515,8 +516,6 @@ class TestForward:
         with pytest.raises(ValidationError, match="mode"):
             forward(model, np.zeros((3, 9, 9, 9)), mode="test")
 
-    @pytest.mark.filterwarnings(
-        "ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_nonfinite_activation_names_layer(self):
         """Poisoned weights surface as a numeric failure naming the layer."""
         model = micro_model("alexnet3d-micro")
@@ -533,8 +532,6 @@ class TestForward:
         with pytest.raises(NumericError, match="model input"):
             forward(model, x)
 
-    @pytest.mark.filterwarnings(
-        "ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_nonfinite_inside_inception_names_child_layer(self):
         """The walk runs every inception branch, so an inf weight of a branch
         conv is reported under the child's name, not only the module's."""
@@ -894,3 +891,67 @@ class TestSaveLoad:
         m1 = micro_model("vgg16-3d-micro", seed=4)
         m2 = micro_model("vgg16-3d-micro", seed=4)
         assert save_model(m1) == save_model(m2)
+
+
+def _redirected(edit) -> bytes:
+    """A sealed alexnet3d-micro model file whose tensor directory went
+    through edit(entries) -> (tensor count, entries), each entry the bytes
+    of one tensor's name, rank and shape."""
+    body = save_model(micro_model("alexnet3d-micro"))[:-4]
+    (cfg_len,) = struct.unpack_from("<I", body, 8)
+    at = 12 + cfg_len
+    (count,) = struct.unpack_from("<I", body, at)
+    entries, pos = [], at + 4
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", body, pos)
+        end = pos + 3 + n + 4 * body[pos + 2 + n]
+        entries.append(body[pos:end])
+        pos = end
+    count, entries = edit(entries)
+    return _sealed(body[:at] + struct.pack("<I", count) + b"".join(entries)
+                   + body[pos:])
+
+
+def _grown_first_dim(entries):
+    """conv1.b, the first entry, with its one extent grown by 1."""
+    (n,) = struct.unpack("<I", entries[0][-4:])
+    return len(entries), [entries[0][:-4] + struct.pack("<I", n + 1)] + entries[1:]
+
+
+def _backpropagate_two_logits():
+    model = micro_model("alexnet3d-micro")
+    _, cache = forward(model, np.zeros((3, 9, 9, 9)))
+    backpropagate(model, cache, np.zeros(2))
+
+
+# (id, call, message of its ValidationError): one row per reachable guard of
+# configs, backward and model files that no test above reaches
+GUARDS = [
+    ("class-count", lambda: AlexNetConfig(class_count=1),
+     "class count must be at least 2"),
+    ("width", lambda: AlexNetConfig(conv_widths=(0, 8, 8, 8, 8)),
+     "conv_widths entries must be positive"),
+    ("inception-widths", lambda: config_from_dict({
+        "architecture": "googlenet3d",
+        "inception": [[[1, 2, 3, 4, 5]], [[1] * 6], [[1] * 6]]}),
+     "an inception module needs 6 widths, got (1, 2, 3, 4, 5)"),
+    ("non-object", lambda: config_from_dict(["alexnet3d"]),
+     "architecture config must be a JSON object"),
+    ("grad-logits", _backpropagate_two_logits,
+     "grad_logits shape (2,) != (3,)"),
+    ("tensor-count", lambda: load_model(_redirected(
+        lambda e: (len(e) - 1, e[:-1]))),
+     "model file has 15 tensors, architecture needs 16"),
+    ("tensor-shape", lambda: load_model(_redirected(_grown_first_dim)),
+     "tensor 'conv1.b' shape (5,) != expected (4,)"),
+    ("directory-order", lambda: load_model(_redirected(
+        lambda e: (len(e), [e[1], e[0]] + e[2:]))),
+     "model file tensor directory incomplete or unsorted"),
+]
+
+
+@pytest.mark.parametrize("call, message",
+                         [pytest.param(c, m, id=i) for i, c, m in GUARDS])
+def test_guard_refuses(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

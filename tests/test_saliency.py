@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import voxcnn.models
 import voxcnn.saliency
+from helpers import ArrayDataset
 from voxcnn.errors import ValidationError
 from voxcnn.models import build_model, forward
 from voxcnn.presets import arch_preset
@@ -15,7 +16,6 @@ from voxcnn.saliency import (
     region_enrichment,
     saliency_map,
 )
-from voxcnn.training import ArrayDataset
 from voxcnn.volumes import (
     Manifest,
     ManifestRecord,

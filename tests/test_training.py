@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,15 +10,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import voxcnn.models
 import voxcnn.training
+from helpers import ArrayDataset
 from voxcnn.errors import NumericError, ValidationError
 from voxcnn.kernels import softmax_xent
-from voxcnn.models import build_model, count_parameters, forward
+from voxcnn.models import build_model, forward, model_backward
 from voxcnn.presets import arch_preset
 from voxcnn.training import (
     LR_FACTOR,
     LR_PERIOD_EPOCHS,
     AdamState,
-    ArrayDataset,
     SplitPlan,
     TrainConfig,
     adam_step,
@@ -517,6 +518,53 @@ class TestTrain:
         assert len(losses) == 40
         assert min(losses[-5:]) < losses[0] * 0.5
 
+    def test_l2_gradient_is_lambda_w_on_weights(self):
+        """One step with l2_lambda > 0 equals an adam step on the batch's
+        mean model_backward gradients plus lam*w on every weight, biases
+        exempt, and differs from the step without the L2 term."""
+        ds = micro_dataset(n_per_class=1)
+        plan = SplitPlan(train_ids=ds.ids[:2], val_ids=(), test_ids=())
+        lam, lr = 0.1, 1e-3
+        config = quick_config(epochs=1, batch_size=2, l2_lambda=lam, lr0=lr)
+        model = build_model(arch_preset("alexnet3d-micro"), seed=4)
+        start = {k: v.copy() for k, v in model.params.items()}
+        train(model, ds, plan, config)
+
+        by_hand = build_model(arch_preset("alexnet3d-micro"), seed=4)
+        data = {}
+        for sid in plan.train_ids:
+            x, y = ds.example(sid)
+            _, cache = forward(by_hand, x, mode="train", dropout_rate=0.0)
+            grads, _ = model_backward(by_hand, cache, y)
+            for name, g in grads.items():
+                data[name] = data[name] + g if name in data else g
+        data = {name: g * 0.5 for name, g in data.items()}
+        with_l2 = {name: g + lam * start[name] if name.endswith(".w") else g
+                   for name, g in data.items()}
+        adam_step(by_hand.params, with_l2, init_adam_state(start), lr)
+        for name in start:
+            assert_array_equal(model.params[name], by_hand.params[name])
+
+        without = {k: v.copy() for k, v in start.items()}
+        adam_step(without, data, init_adam_state(start), lr)
+        changed = [name for name in start
+                   if not np.array_equal(without[name], model.params[name])]
+        assert changed and all(name.endswith(".w") for name in changed)
+
+    def test_nonfinite_loss_is_numeric_error(self):
+        """A weight whose square overflows, behind a ReLU that zeroes its
+        input, leaves the forward and the gradients finite; the L2 penalty
+        is inf, and train reports it as the loss, with no warning first."""
+        ds = micro_dataset(n_per_class=1)
+        plan = SplitPlan(train_ids=ds.ids[:2], val_ids=(), test_ids=())
+        model = build_model(arch_preset("alexnet3d-micro"))
+        model.params["fc1.b"][...] = -1e3
+        model.params["fc2.w"][0, 0] = 1e200
+        with pytest.raises(NumericError,
+                           match="^iteration 1: non-finite loss$"):
+            train(model, ds, plan,
+                  quick_config(epochs=1, batch_size=2, l2_lambda=0.1))
+
     def test_iteration_hook_sees_every_step(self):
         ds = micro_dataset()
         plan = SplitPlan(train_ids=ds.ids[:6], val_ids=(), test_ids=())
@@ -583,23 +631,24 @@ class TestHistoryCsv:
             float(cell)
 
 
-class TestArrayDataset:
-    def test_examples_come_back_as_float64(self):
-        ds = ArrayDataset({"a": (np.zeros((3, 2, 2, 2), dtype=np.float32), 1)})
-        x, y = ds.example("a")
-        assert x.dtype == np.float64
-        assert y == 1
+# (id, call, message of its ValidationError): one row per guard of the
+# split and fold builders that no test above reaches
+GUARDS = [
+    ("split-size", lambda: split_dataset(["a", "b"]),
+     "need at least 3 ids to split"),
+    ("kfold-labels", lambda: make_kfold(["a", "b"], ["AD"], k=2),
+     "ids and labels must have equal length"),
+    ("kfold-unique", lambda: make_kfold(["a", "a", "b"], [0, 0, 1], k=2),
+     "dataset ids must be unique"),
+    ("kfold-k", lambda: make_kfold(["a", "b"], [0, 1], k=1),
+     "k must be at least 2"),
+    ("kfold-size", lambda: make_kfold(["a", "b"], [0, 1], k=3),
+     "k=3 exceeds dataset size 2"),
+]
 
-    def test_unknown_id_rejected(self):
-        ds = micro_dataset()
-        with pytest.raises(ValidationError, match="nope"):
-            ds.example("nope")
 
-    def test_label_of_names_the_class(self):
-        ds = ArrayDataset({"a": (np.zeros((3, 2, 2, 2)), 2),
-                           "b": (np.zeros((3, 2, 2, 2)), 3)})
-        assert ds.label_of("a") == "CN"
-        with pytest.raises(ValidationError, match="names no class"):
-            ds.label_of("b")
-        with pytest.raises(ValidationError, match="nope"):
-            ds.label_of("nope")
+@pytest.mark.parametrize("call, message",
+                         [pytest.param(c, m, id=i) for i, c, m in GUARDS])
+def test_guard_refuses(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import mmap
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -17,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import voxcnn.volumes
 from voxcnn.errors import ValidationError
@@ -343,6 +343,13 @@ class TestManifest:
         with pytest.raises(ValidationError,
                            match=f"^{path}: empty {cell} cell"):
             load_manifest(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        records = self._write_volumes(tmp_path, n=2)
+        path = tmp_path / "m.vman"
+        path.write_text("#VMAN2 {}\n\ns0.vvol,AD,s0,test\n\n"
+                        "s1.vvol,MCI,s1,train\n\n")
+        assert load_manifest(path).records == tuple(records)
 
     @pytest.mark.parametrize("row", ["s0.vvol,AD,s0", "s0.vvol,AD,s0,test,3"])
     def test_row_needs_four_fields(self, tmp_path, row):
@@ -860,3 +867,57 @@ class TestConfigFieldTypes:
         assert '"lr0": 1.0,' in json.dumps(config_fields(TrainConfig(lr0=1)))
         assert PhantomParams(region_radii=(3, 4, 5)).region_radii == \
             (3.0, 4.0, 5.0)
+
+
+def _listed(tmp, row):
+    """The dataset of a manifest under `tmp` whose one row is `row`, next
+    to s0.vvol, an AD volume with id s0."""
+    save_volume(tiny_record(vol_id="s0", label="AD"), tmp / "s0.vvol")
+    (tmp / "m.vman").write_text(f"#VMAN2 {{}}\n{row}\n")
+    return VolumeDataset.from_manifest(tmp / "m.vman")
+
+
+def _read_with_channels(n):
+    """read_volume of a sealed volume file whose channel count reads n."""
+    body = bytearray(write_volume(tiny_record())[:-4])
+    body[20:24] = struct.pack("<I", n)
+    return read_volume(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+
+# (id, call on a fresh directory, end of its ValidationError's message): one
+# row per guard of configs, volume files, manifests, datasets and phantom
+# params that no test above reaches
+GUARDS = [
+    ("non-object", lambda tmp: config_from_fields(PhantomParams, [],
+                                                  "phantom params"),
+     "phantom params must be a JSON object"),
+    ("int-beyond-float", lambda tmp: config_from_fields(
+        TrainConfig, parse_json('{"lr0": 1' + "0" * 400 + "}", "config"),
+        "training config"),
+     "training config field 'lr0' must be finite, got inf"),
+    ("empty-id", lambda tmp: tiny_record(vol_id=""),
+     "volume id must be non-empty"),
+    ("channels", lambda tmp: _read_with_channels(2),
+     "expected 3 channels, file has 2"),
+    ("unknown-label", lambda tmp: _listed(tmp, "s0.vvol,XY,s0,"),
+     "m.vman: unknown label 'XY'"),
+    ("label-disagrees", lambda tmp: _listed(tmp, "s0.vvol,CN,s0,"),
+     "volume 's0.vvol': label disagrees with manifest"),
+    ("no-volumes", lambda tmp: VolumeDataset(Manifest((), {})).extents,
+     "dataset holds no volumes"),
+    ("unknown-id", lambda tmp: _listed(tmp, "s0.vvol,AD,s0,").example("s1"),
+     "unknown sample id 's1'"),
+    ("samples", lambda tmp: PhantomParams(samples_per_class=0),
+     "samples_per_class must be positive"),
+    ("noise", lambda tmp: PhantomParams(noise_amplitude=-0.1),
+     "noise amplitude must be non-negative"),
+    ("jitter", lambda tmp: PhantomParams(jitter=-1.0),
+     "jitter must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("call, message",
+                         [pytest.param(c, m, id=i) for i, c, m in GUARDS])
+def test_guard_refuses(call, message, tmp_path):
+    with pytest.raises(ValidationError, match=f"{re.escape(message)}$"):
+        call(tmp_path)
